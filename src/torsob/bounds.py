@@ -160,9 +160,19 @@ def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prev_representable(m: int) -> int:
-    from .lattice import is_representable
+    """Largest m' <= m that is a sum of two squares (1 at the least).
 
-    while m > 1 and not is_representable(m):
+    m' = a^2 + b^2 with a <= b needs only a <= isqrt(m' // 2).  Each tried
+    integer is one vectorized test: float sqrt of an integer below 2^52 is
+    exact when the integer is a perfect square, so rounding it and squaring
+    back decides.
+    """
+    a2 = np.arange(math.isqrt(m // 2) + 1, dtype=np.float64) ** 2
+    while m > 1:
+        b2 = m - a2[: math.isqrt(m // 2) + 1]
+        b = np.rint(np.sqrt(b2))
+        if np.any(b * b == b2):
+            break
         m -= 1
     return max(m, 1)
 
@@ -174,9 +184,13 @@ def mode_splitting_bound(
 
     P(delta) = (1/4 pi^2) min_N (sqrt(S_low(N)) + sqrt(delta) sqrt(S_high(N)))^2
     with S_low = sum over 0 < |k| <= N of |k|^-2 and S_high the complementary
-    |k|^-4 tail.  Both sums are step functions of N, so the minimum is taken
-    over exact shell radii (squared norms representable as a sum of two
-    squares); ties break toward the smaller radius.  Returns (P, N_min).
+    |k|^-4 tail.  Both sums are step functions of N, so only exact shell
+    radii (squared norms representable as a sum of two squares) are cuts;
+    ties break toward the smaller radius.  With n*^2 = delta log delta, the
+    minimum runs over every shell radius with N^2 <= max(16 n*^2, 400)
+    while n*^2 < 1e5, and above that over at most 700 representable cuts,
+    each the largest one at or below a point of a geometric grid of 700
+    points on [n*^2/6, 6 n*^2].  Returns (P, N_min).
     """
     if not (delta >= 1.0):
         raise DomainError(f"mode_splitting_bound: need delta >= 1, got {delta!r}")
@@ -186,15 +200,26 @@ def mode_splitting_bound(
             f"mode_splitting_bound: delta={delta:g} needs cut radii beyond "
             "the lattice point budget"
         )
+    z4 = _z2_moment(2).value
     if n_star2 < _EXACT_ENUM_LIMIT:
+        # every shell is a cut: cumulative sums over the cached shell table
         m_cap = int(max(16.0 * n_star2, 400.0))
-        q, _ = _shells(2, math.isqrt(m_cap) + 1)
-        cands = q[q <= m_cap].astype(np.int64)
+        q, c = _shells(2, math.isqrt(m_cap) + 1)
+        n = int(np.searchsorted(q, float(m_cap), side="right"))
+        cands, c = q[:n], c[:n]
+        S2 = np.cumsum(c / cands)
+        t4 = c / (cands * cands)
+        # the |k|^-4 tail above each cut, summed smallest term first; the
+        # complement Z2(2) - cumsum would lose the small tail to cancellation
+        tail = np.zeros(n)
+        tail[:-1] = np.cumsum(t4[:0:-1])[::-1]
+        S_high = (z4 - math.fsum(t4)) + tail
     else:
         raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
-        cands = np.unique([_prev_representable(int(m)) for m in raw])
-    S2, S4 = _partial_sums_at(cands.astype(np.float64))
-    S_high = np.maximum(_z2_moment(2).value - S4, 0.0)
+        cands = np.unique([_prev_representable(int(m)) for m in raw]).astype(np.float64)
+        S2, S4 = _partial_sums_at(cands)
+        S_high = z4 - S4
+    S_high = np.maximum(S_high, 0.0)
     vals = (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
     i = int(np.argmin(vals))
     return float(vals[i]), math.sqrt(float(cands[i]))

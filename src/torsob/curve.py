@@ -230,14 +230,19 @@ def _model_pair(tag: str):
 def _verify_model_range(tag: str, mu_min: float) -> tuple[float, float]:
     """Establish (and cache) a mu-interval on which the approximant's delta
     map is strictly decreasing, so that monotone inversion is justified.
-    The upper end is the root of delta_model(mu) = 1."""
+    The upper end is the root of delta_model(mu) = 1, taken on the side
+    where the map, evaluated through exp(log mu) as _invert_model does, is
+    <= 1, so that delta = 1 itself inverts."""
     pair = _model_pair(tag)
     got = _MODEL_RANGE.get(tag)
     if got is not None and got[0] <= mu_min:
         return got
-    mu_max = got[1] if got else float(
-        brentq(lambda m: pair(m)[0] - 1.0, 0.5, 3.0, xtol=1e-14)
-    )
+    if got:
+        mu_max = got[1]
+    else:
+        mu_max = float(brentq(lambda m: pair(m)[0] - 1.0, 0.5, 3.0, xtol=1e-14))
+        while pair(math.exp(math.log(mu_max)))[0] > 1.0:
+            mu_max = math.nextafter(mu_max, math.inf)
     grid = np.exp(np.linspace(math.log(mu_min), math.log(mu_max), 512))
     deltas = np.array([pair(m)[0] for m in grid])
     if not np.all(np.diff(deltas) < 0.0):
@@ -327,8 +332,13 @@ def tangent_condition(mu: float) -> float:
 
 
 def gap(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Theta0(delta) - Theta(delta): the (provably nonnegative) amount by
-    which the logarithmic model overestimates the exact curve."""
+    """Theta0(delta) - Theta(delta): the amount by which the logarithmic
+    model overestimates the exact curve.
+
+    The mathematical gap is nonnegative, but it falls exponentially in
+    delta, and once it drops below the rounding of two O(1) floats the
+    computed difference can be negative by a few ulp of Theta (down to
+    -4.4e-16 for delta in [1.5, 1e3]).  No error bound is returned."""
     if not (delta >= 1.0):
         raise DomainError(f"gap: need delta >= 1, got {delta!r}")
     return theta_model("theta0", delta, cfg) - theta_model("exact", delta, cfg)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torsob.bounds import (
+    _prev_representable,
     alpha_constant,
     elementary_comparison,
     embedding_constant,
@@ -15,7 +16,11 @@ from torsob.bounds import (
 )
 from torsob.curve import loglog_lower_constant, theta_model
 from torsob.errors import DomainError
-from torsob.lattice import beta_constant, partial_inverse_square_sum
+from torsob.lattice import (
+    beta_constant,
+    is_representable,
+    partial_inverse_square_sum,
+)
 from torsob.specfun import lambert_w, zeta_dirichlet
 
 
@@ -84,9 +89,12 @@ def test_elementary_comparison_domain():
 # --------------------------------------------------------- mode splitting
 
 
-def brute_split(delta: float, shell_cap: int = 1600) -> tuple[float, float]:
-    """Exhaustive minimization over every shell radius with |k|^2 <= cap."""
-    k = np.arange(-50, 51)
+def brute_split(delta: float) -> tuple[float, float]:
+    """Exhaustive minimization over every shell radius with |k|^2 up to the
+    cap of the exact candidate sweep, max(16 delta log delta, 400)."""
+    shell_cap = int(max(16.0 * delta * math.log(max(delta, 2.0)), 400.0))
+    kmax = math.isqrt(shell_cap)
+    k = np.arange(-kmax, kmax + 1)
     q = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
     q = q[(q > 0) & (q <= shell_cap)]
     shells = np.unique(q)
@@ -105,12 +113,32 @@ def brute_split(delta: float, shell_cap: int = 1600) -> tuple[float, float]:
     return best / (4.0 * math.pi**2), best_n
 
 
-@pytest.mark.parametrize("delta", [2.0, 6.0, 10.0])
+@pytest.mark.parametrize("delta", [2.0, 6.0, 10.0, 300.0, 2e3])
 def test_mode_splitting_matches_brute(delta):
+    # thousands of shells at the larger deltas: the cumulative sums over the
+    # shell table against a per-shell loop
     P, N = mode_splitting_bound(delta)
     Pb, Nb = brute_split(delta)
     assert abs(P - Pb) < 1e-10
     assert abs(N - Nb) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e4, 1.07e4])
+def test_mode_splitting_value_matches_fsum_at_cut(delta):
+    # at the returned cut, P from correctly rounded sums over the lattice;
+    # the |k|^-4 tail is only ~pi/N^2, so a plain running sum of S4 taken
+    # from Z2(2) would be off by ~1e-11 relative here
+    P, N = mode_splitting_bound(delta)
+    m = round(N * N)
+    kmax = math.isqrt(m)
+    k = np.arange(-kmax, kmax + 1)
+    q = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    shells, counts = np.unique(q[(q > 0) & (q <= m)], return_counts=True)
+    shells = shells.astype(np.float64)
+    low2 = math.fsum(counts / shells)
+    high4 = epstein(4.0) - math.fsum(counts / shells**2)
+    ref = (math.sqrt(low2) + math.sqrt(delta * high4)) ** 2 / (4.0 * math.pi**2)
+    assert abs(P - ref) < 3e-12 * ref
 
 
 def test_mode_splitting_frozen():
@@ -120,6 +148,32 @@ def test_mode_splitting_frozen():
     P6, N6 = mode_splitting_bound(6.0)
     assert abs(P6 - 0.4971840517592267) < 1e-12
     assert abs(N6 - math.sqrt(20.0)) < 1e-12
+
+
+def test_mode_splitting_monotone_across_enumeration_switch():
+    # n*^2 = delta log delta crosses the exact-enumeration limit 1e5 between
+    # 1.07e4 and 1.08e4; the sampled minimum above it may not undercut the
+    # exact one below it
+    deltas = [9e3, 1e4, 1.07e4, 1.08e4, 1.2e4]
+    assert deltas[2] * math.log(deltas[2]) < 1e5 < deltas[3] * math.log(deltas[3])
+    Ps = [mode_splitting_bound(d)[0] for d in deltas]
+    assert all(a <= b for a, b in zip(Ps, Ps[1:]))
+
+
+def test_prev_representable_matches_scalar_test():
+    # the vectorized search against lattice.is_representable, one integer at
+    # a time, on small m, sums of two squares, and m up to 1e8
+    m_max = 10**8
+    rng = np.random.default_rng(7)
+    sample = list(range(1, 40)) + [int(m) for m in rng.integers(40, m_max, 40)]
+    sample += [9991**2 + 37**2, 10**8, 2 * 7071**2, 3 * 7**8, m_max - 1]
+    for m in sample:
+        p = _prev_representable(m)
+        assert 1 <= p <= m
+        assert is_representable(p)
+        assert not any(is_representable(j) for j in range(p + 1, m + 1))
+        if is_representable(m):
+            assert p == m
 
 
 def test_mode_splitting_dominates_theta():

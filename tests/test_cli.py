@@ -12,14 +12,19 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+#: the checkout's package, put first on the children's import path
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 COS_FILE_BODY = "1 0 3.141592653589793 0\n-1 0 3.141592653589793 0\n"
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -42,6 +47,13 @@ def test_theta_table_frozen():
     assert rows[0].startswith("1.0,0.10132118364233778,-1.0,")
     assert rows[1].startswith("2.0,0.26651186311040814,0.52054486310305,")
     assert rows[3].startswith("4.0,0.35111590832941114,0.1184022201026829,")
+
+
+def test_theta_exp_model_from_delta_one():
+    r = run_cli("theta", "--model", "exp", "--delta-grid", "1:2:3")
+    assert r.returncode == 0, r.stderr
+    rows = [ln for ln in r.stdout.splitlines() if ln and not ln.startswith("#")][1:]
+    assert [row.split(",")[0] for row in rows] == ["1.0", "1.5", "2.0"]
 
 
 def test_theta_stdout_deterministic():

@@ -159,6 +159,17 @@ def test_exp_corrected_brackets_exact():
         assert abs(ec - e) < 2.0 * abs(t0 - e)
 
 
+@pytest.mark.parametrize("model", ["theta0", "exp_corrected"])
+def test_closed_form_models_invert_at_delta_one(model):
+    # delta = 1 is the upper end of the verified inversion range; the root
+    # there must be bracketed although the model's delta map is only
+    # 1 +- a few ulp at the computed end point
+    t1 = theta_model(model, 1.0)
+    assert 0.0 < t1 < theta_model(model, 1.0 + 1e-9)
+    assert abs(theta_model(model, 1.0 + 1e-9) - t1) < 1e-8
+    assert t1 < theta_model(model, 1.5)
+
+
 def test_loglog_model_closed_form():
     d = 10.0
     pred = (
