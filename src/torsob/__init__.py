@@ -22,8 +22,9 @@ The package is organized around the objects it computes:
 ``largen``
     the scaled large-n deviations and their explicit limit profiles;
 ``field``
-    torus-grid synthesis of extremal functions, the Laplacian Green
-    function and inequality verification on user Fourier data;
+    extremal functions on a torus grid from closed-form row sums, the
+    Laplacian Green function and inequality verification on user Fourier
+    data;
 ``cli``
     the ``torsob`` command-line front end.
 """

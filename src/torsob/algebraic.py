@@ -33,6 +33,7 @@ from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
+    _omega,
     _z2_moment,
     _z3_moment,
     general_sums,
@@ -58,10 +59,6 @@ __all__ = [
 _SIGN_TOL = 1e-7
 
 _ATT_TOL = 1e-9
-
-
-def _omega(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def leading_constant(case: CaseDN) -> float:

@@ -9,7 +9,7 @@ wall time, and a sha256 checksum per written file.  Every CSV carries a
 header comment with the checksum of the manifest core (command + config +
 version -- the parts that determine the numbers), so a table can be traced
 back to the invocation that made it; the core hash deliberately excludes
-wall time and worker count, which must never change the numbers.
+wall time, which must never change the numbers.
 
 Exit codes: 2 for domain errors (bad arguments, malformed files), 3 when a
 requested accuracy cannot be certified within resource limits, 1 for I/O
@@ -18,7 +18,7 @@ form ``torsob: <kind>: <message>``.
 
 Numbers are printed as shortest round-trip decimals (never more than 17
 significant digits).  Identical invocation and config produce byte
-identical CSV/JSON bytes regardless of TORSOB_WORKERS.
+identical CSV/JSON bytes.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def _config_snapshot(cfg: PrecisionConfig) -> dict:
 def _manifest_core(args, cfg: PrecisionConfig, params: dict) -> dict:
     """The parts of an invocation that determine the numbers.
 
-    Deliberately excludes the output location, wall time and worker count,
-    so identical computations produce identical manifest hashes (and hence
-    identical CSV header bytes) wherever the files land.
+    Deliberately excludes the output location and wall time, so identical
+    computations produce identical manifest hashes (and hence identical CSV
+    header bytes) wherever the files land.
     """
     return {
         "tool": "torsob",

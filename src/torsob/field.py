@@ -1,4 +1,4 @@
-"""Torus fields: extremal synthesis, the Laplacian Green function, and
+"""Torus fields: the extremal family, the Laplacian Green function, and
 inequality verification on user-supplied Fourier data.
 
 Normalization convention, fixed once for the whole package: a field given
@@ -7,18 +7,17 @@ by coefficients u_k (k in Z^2 \\ {0}, Hermitian) is
     u(x) = (1/2pi) sum' u_k e^{i k.x},
 
 so that ||u||^2_{L2} = sum' |u_k|^2, ||grad u||^2 = sum' k^2 |u_k|^2 and
-||lap u||^2 = sum' k^4 |u_k|^2.  The extremal family is synthesized exactly
+||lap u||^2 = sum' k^4 |u_k|^2.  The extremal family is evaluated exactly
 as written in its defining series, u_mu(x) = sum' e^{i k.x}/(k^2(1+mu k^2))
 (no prefactor), which corresponds to u_k = 2pi/(k^2(1+mu k^2)); hence its
 peak value is the lattice sum f(mu) and its norms are (2pi)^2 g(mu) and
-(2pi)^2 h(mu).
+(2pi)^2 h(mu).  Away from the origin the series is summed in closed form
+row by row, so no Fourier truncation enters the grid values.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -33,6 +32,7 @@ from .lattice import (
     CaseDN,
     PrecisionConfig,
     TailDescriptor,
+    _shells,
     critical_sums,
     tail_bracket,
 )
@@ -48,29 +48,15 @@ __all__ = [
 ]
 
 _MIN_RESOLUTION = 32
-_SYNTH_RADIUS_CAP = 131_072
-_CHUNK_ROWS = 4096
-
-
-def _worker_count() -> int:
-    """Worker processes for row-parallel synthesis (TORSOB_WORKERS, default 1)."""
-    raw = os.environ.get("TORSOB_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise DomainError(
-            f"TORSOB_WORKERS must be a positive integer, got {raw!r}"
-        ) from exc
-    if n < 1:
-        raise DomainError(f"TORSOB_WORKERS must be a positive integer, got {raw!r}")
-    return n
 
 
 @dataclass(frozen=True)
 class FieldGrid:
     """A real field sampled on the uniform grid x_i = -pi + 2pi*i/res over
-    [-pi, pi)^2, together with its spectral norms (exact on the synthesized
-    coefficient set) and refined grid supremum."""
+    [-pi, pi)^2, together with its spectral norms and refined grid
+    supremum.  For the extremal u_mu the norms are those of the full
+    series: grad and lap from the closed sums g(mu) and h(mu), l2 summed
+    term by term to within (2pi)^2 cfg.target_abs_tol."""
 
     resolution: int
     values: np.ndarray
@@ -120,107 +106,80 @@ def _refined_sup(values: np.ndarray) -> float:
     return float(total)
 
 
-def _grid_from_spectrum(A: np.ndarray) -> np.ndarray:
-    """Exact grid values of the folded spectrum A at x_i = -pi + 2pi i/res.
+def _synth_rows(t1: np.ndarray, t2: float, mu: float) -> np.ndarray:
+    """sum' e^{i k.x} / (k^2 (1 + mu k^2)) at the points x = (t1[i], t2),
+    0 <= t1[i] <= t2 <= pi, t2 > 0, by exact row summation.
 
-    A holds sum c_k e^{-i pi (k1+k2)} folded modulo the grid; its residual
-    (0,0) bin -- pure aliasing of |k| >= res modes into the grid mean,
-    absent from the underlying zero-mean field -- is removed so the
-    synthesized grid is exactly mean-free.
+    The summand splits as 1/k^2 - 1/(k^2 + 1/mu).  Rows run over k1, the
+    wavenumber of the smaller coordinate t1; each row closes in the larger
+    coordinate t2 via the identities
+    sum_{k in Z} cos(k t)/(k^2+a^2) = (pi/a) cosh(a(pi-|t|))/sinh(pi a) and
+    sum_{k != 0} cos(k t)/k^2 = pi^2/3 - pi|t| + t^2/2, with the cosh ratio
+    evaluated in decaying exponentials.  Row k1 is O(e^{-k1 t2}), so rows
+    stop once that factor is below e^{-42}.
     """
-    res = A.shape[0]
-    A[0, 0] = 0.0
-    return (res * res * np.fft.ifft2(A)).real
 
-
-def _fold_synthesis(res: int, entries) -> np.ndarray:
-    """Grid synthesis of sum c_k e^{i k.x} from (k1, folded-row) pairs that
-    already carry the (-1)^{k1+k2} grid phase."""
-    A = np.zeros((res, res), dtype=complex)
-    for k1, row in entries:
-        A[k1 % res] += row
-    return _grid_from_spectrum(A)
-
-
-def _synth_rows(args: tuple[float, int, int, int, int]):
-    """One contiguous block k1 in [lo, hi) of the extremal synthesis.
-
-    Uses the k1 -> -k1 symmetry of the coefficients, so the caller passes
-    blocks covering 0..R only.  Returns this block's additive part of the
-    folded spectrum and of the three norm sums.  Block boundaries are fixed
-    by the caller independently of the worker count and the partial results
-    are reduced in block order, which keeps the assembled output bitwise
-    identical for any degree of parallelism.
-    """
-    mu, radius, resolution, lo, hi = args
-    ks2 = np.arange(-radius, radius + 1)
-    ksq2 = ks2.astype(float) ** 2
-    bins2 = ks2 % resolution
-    sign2 = np.where(ks2 % 2 == 0, 1.0, -1.0)
-    A = np.zeros((resolution, resolution))
-    s_w2 = s_g = s_h = 0.0
-    for k1 in range(lo, hi):
-        q = ksq2 + float(k1 * k1)
-        t = mu * q
-        t += 1.0
-        t *= q
-        with np.errstate(divide="ignore"):
-            w = 1.0 / t
-        if k1 == 0:
-            w[radius] = 0.0  # drop the origin
-        mult = 2.0 if k1 else 1.0
-        qw = q * w
-        s_w2 += mult * float(np.dot(w, w))
-        s_g += mult * float(np.dot(qw, w))
-        s_h += mult * float(np.dot(qw, qw))
-        folded = np.bincount(bins2, weights=w * sign2, minlength=resolution)
-        if k1 % 2:
-            folded = -folded
-        A[k1 % resolution] += folded
-        if k1:
-            A[-k1 % resolution] += folded
-    return A, s_w2, s_g, s_h
-
-
-def _certified_radius(mu: float, triple) -> int:
-    """Smallest scanned truncation radius at which the rigorous tail
-    brackets certify both synthesis targets.
-
-    Two conditions are enforced jointly: the neglected coefficient mass is
-    below 1e-5 of the peak value (grid-value accuracy), and the discarded
-    parts of the g- and h-type norm sums are small enough that the
-    truncated lap/grad ratio provably sits within 1e-8 of delta(mu).  The
-    second condition dominates: the h-type tail only decays like 1/R^2, so
-    certified radii reach tens of thousands for mu around 0.1.
-    """
-    fv, gv, hv = triple.f.value, triple.g.value, triple.h.value
-    value_target = 1e-5 * max(1.0, fv)
-    # budget left for the truncation after the closed sums' own certificates
-    slack = (triple.h.abs_error_bound * gv + triple.g.abs_error_bound * hv) / gv**2
-    ratio_budget = 1e-8 * (1.0 - 1e-3) - 2.0 * slack
-    if ratio_budget <= 0.0:
-        raise ToleranceUnreachableError(
-            f"extremal_field: closed-sum certificates at mu={mu:g} are too "
-            f"wide to certify the spectral ratio"
+    def cosh_ratio(a):
+        # cosh(a(pi - t2))/sinh(pi a), stable for large a
+        return (
+            np.exp(-a * t2)
+            * (1.0 + np.exp(-2.0 * a * (math.pi - t2)))
+            / (1.0 - np.exp(-2.0 * math.pi * a))
         )
-    d_f = TailDescriptor("screened_f", mu=mu)
-    d_g = TailDescriptor("screened_g", mu=mu)
-    d_h = TailDescriptor("screened_h", mu=mu)
-    R = 64
-    while True:
-        tf = tail_bracket(R, d_f)[1]
-        tg = tail_bracket(R, d_g)[1]
-        th = tail_bracket(R, d_h)[1]
-        if tg < gv:
-            ratio_bound = (hv * tg + gv * th) / (gv * (gv - tg))
-            if tf <= value_target and ratio_bound <= ratio_budget:
-                return R
-        if R >= _SYNTH_RADIUS_CAP:
+
+    # screen0 = sum_{k != 0} cos(k t2)/(k^2 + b^2), b = 1/sqrt(mu): the
+    # closed form less its k = 0 term 1/b^2 = mu
+    sq = math.sqrt(mu)
+    if sq > 1.0:
+        # that difference cancels for large mu; instead sum the Taylor
+        # series of pi b cosh(b(pi - t2)) - sinh(pi b), whose b^1 terms
+        # cancel exactly (terms past n = 16 are below 1e-19)
+        b, u = 1.0 / sq, math.pi - t2
+        screen0 = sum(
+            b ** (2 * n - 1)
+            * math.pi
+            * (u ** (2 * n) / math.factorial(2 * n)
+               - math.pi ** (2 * n) / math.factorial(2 * n + 1))
+            for n in range(1, 17)
+        ) / math.sinh(math.pi * b)
+    else:
+        s_full = (math.pi / sq) * float(cosh_ratio(np.asarray(1.0 / sq)))
+        screen0 = mu * (s_full - 1.0)
+    row0 = (math.pi**2 / 3.0 - math.pi * t2 + t2 * t2 / 2.0) - screen0
+
+    M = int(math.ceil(42.0 / t2)) + 8
+    if M > 2_000_000:
+        raise ToleranceUnreachableError(
+            f"screened Green function: point too close to the lattice "
+            f"singularity (row cutoff {M} exceeds budget)"
+        )
+    k1 = np.arange(1.0, M + 1.0)
+    a = np.sqrt(k1 * k1 + 1.0 / mu)
+    terms = (
+        np.cos(np.multiply.outer(t1, k1))
+        * math.pi
+        * (cosh_ratio(k1) / k1 - cosh_ratio(a) / a)
+    )
+    return row0 + 2.0 * terms.sum(axis=-1)
+
+
+def _certified_radius(mu: float, cfg: PrecisionConfig) -> int:
+    """Smallest radius R on a x1.6 ladder from 64 at which the l2 sum
+    sum' 1/(k^2 (1 + mu k^2))^2 over |k| <= R is within cfg.target_abs_tol.
+
+    Beyond R, k^2 > R^2, so the neglected part is at most the rigorous
+    screened_g tail bracket divided by R^2.
+    """
+    tail = TailDescriptor("screened_g", mu=mu)
+    R = min(64, cfg.max_radius)
+    while tail_bracket(R, tail)[1] / (R * R) > cfg.target_abs_tol:
+        if R >= cfg.max_radius:
             raise ToleranceUnreachableError(
-                f"extremal_field: cannot certify the synthesis at mu={mu:g} "
-                f"within truncation radius {_SYNTH_RADIUS_CAP}"
+                f"extremal_field: cannot certify the l2 norm at mu={mu:g} "
+                f"within radius {cfg.max_radius}"
             )
-        R = min(int(R * 1.15) + 1, _SYNTH_RADIUS_CAP)
+        R = min(int(R * 1.6), cfg.max_radius)
+    return R
 
 
 @lru_cache(maxsize=6)
@@ -228,34 +187,34 @@ def _extremal_cached(
     mu: float, resolution: int, cfg: PrecisionConfig
 ) -> FieldGrid:
     triple = critical_sums(mu, cfg=cfg)
-    R = _certified_radius(mu, triple)
-    blocks = [
-        (mu, R, resolution, lo, min(lo + _CHUNK_ROWS, R + 1))
-        for lo in range(0, R + 1, _CHUNK_ROWS)
-    ]
-    workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_synth_rows, blocks))
-    else:
-        parts = [_synth_rows(b) for b in blocks]
-    A = np.zeros((resolution, resolution))
-    s_w2 = s_g = s_h = 0.0
-    for part_a, part_w2, part_g, part_h in parts:
-        A += part_a
-        s_w2 += part_w2
-        s_g += part_g
-        s_h += part_h
-    values = _grid_from_spectrum(A)
+    # |x_i| = pi |2i - res| / res: u_mu is even in each coordinate and
+    # symmetric under x1 <-> x2, so one table over the distinct distances
+    # fills the grid, and the mirrored grid is exactly symmetric
+    dist, idx = np.unique(
+        np.abs(2 * np.arange(resolution) - resolution), return_inverse=True
+    )
+    t = math.pi * dist / resolution
+    table = np.empty((len(t), len(t)))
+    for m, t2 in enumerate(t):
+        if t2 == 0.0:
+            table[0, 0] = triple.f.value  # the series at the origin
+        else:
+            table[m, : m + 1] = table[: m + 1, m] = _synth_rows(t[: m + 1], t2, mu)
+    values = table[np.ix_(idx, idx)]
+    # the grid mean is the aliasing of the modes k = 0 mod res onto the
+    # zero mode, which the field does not have
+    values -= np.mean(values)
+    q, c = _shells(2, _certified_radius(mu, cfg))
+    w = 1.0 / (q * (1.0 + mu * q))
     four_pi_sq = 4.0 * math.pi * math.pi
     return FieldGrid(
         resolution=resolution,
         values=values,
         mu=mu,
         sup_value=_refined_sup(values),
-        grad_norm_sq=four_pi_sq * s_g,
-        lap_norm_sq=four_pi_sq * s_h,
-        l2_norm_sq=four_pi_sq * s_w2,
+        grad_norm_sq=four_pi_sq * triple.g.value,
+        lap_norm_sq=four_pi_sq * triple.h.value,
+        l2_norm_sq=four_pi_sq * float(np.dot(c, w * w)),
     )
 
 
@@ -264,14 +223,12 @@ def extremal_field(
 ) -> FieldGrid:
     """The radial-spike extremal u_mu sampled on a resolution^2 grid.
 
-    Values come from truncated Fourier synthesis, folded modulo the grid
-    (so the truncated series is evaluated exactly at the grid nodes).  The
-    truncation radius is certified by rigorous tail brackets on two counts
-    at once: the neglected coefficient mass stays below 1e-5 relative to
-    the peak, and the spectral lap/grad ratio of the truncated set stays
-    within 1e-8 of delta(mu).  Norms are the exact spectral sums over the
-    truncated coefficient set; synthesis is row-parallel when
-    TORSOB_WORKERS is set, with bitwise-identical output either way.
+    Node values are the series summed in closed form row by row (the rows
+    stop below e^{-42} of their decay), f(mu) at the origin, less the grid
+    mean, which is the aliasing of the modes k = 0 mod res.  grad and lap
+    are (2pi)^2 g(mu) and (2pi)^2 h(mu) from critical_sums, with its
+    certified bounds; l2 is summed term by term over |k| <= R, with R the
+    smallest radius whose rigorous tail bound is within cfg.target_abs_tol.
     Results are cached per (mu, resolution, config).
     """
     if not (mu > 0.0) or not math.isfinite(mu):
@@ -290,41 +247,9 @@ def extremal_field(
 
 
 def _screened_green(x1: float, x2: float, mu: float) -> float:
-    """sum' e^{i k.x} / (k^2 (1 + mu k^2)) by exact row summation.
-
-    Coordinates are swapped so the larger |component| drives the row decay;
-    each k1-row closes via the identities
-    sum_{k in Z} cos(k t)/(k^2+a^2) = (pi/a) cosh(a(pi-|t|))/sinh(pi a) and
-    sum_{k != 0} cos(k t)/k^2 = pi^2/3 - pi|t| + t^2/2, with the cosh ratio
-    evaluated in decaying exponentials.
-    """
-    t1, t2 = abs(x1), abs(x2)
-    if t2 < t1:
-        t1, t2 = t2, t1
-    # t2 = max > 0 guaranteed by the caller
-
-    def cosh_ratio(a):
-        # cosh(a(pi - t2))/sinh(pi a), stable for large a
-        return (
-            np.exp(-a * t2)
-            * (1.0 + np.exp(-2.0 * a * (math.pi - t2)))
-            / (1.0 - np.exp(-2.0 * math.pi * a))
-        )
-
-    sq = math.sqrt(mu)
-    s_full = (math.pi / sq) * float(cosh_ratio(np.asarray(1.0 / sq)))
-    row0 = (math.pi**2 / 3.0 - math.pi * t2 + t2 * t2 / 2.0) - mu * (s_full - 1.0)
-
-    M = int(math.ceil(42.0 / t2)) + 8
-    if M > 2_000_000:
-        raise ToleranceUnreachableError(
-            f"g0_value: point too close to the lattice singularity "
-            f"(row cutoff {M} exceeds budget)"
-        )
-    k1 = np.arange(1.0, M + 1.0)
-    a = np.sqrt(k1 * k1 + 1.0 / mu)
-    terms = np.cos(k1 * t1) * math.pi * (cosh_ratio(k1) / k1 - cosh_ratio(a) / a)
-    return row0 + 2.0 * float(terms.sum())
+    """sum' e^{i k.x} / (k^2 (1 + mu k^2)) at one point x != 0."""
+    t1, t2 = sorted((abs(x1), abs(x2)))
+    return float(_synth_rows(np.array([t1]), t2, mu)[0])
 
 
 def _bessel_image_sum(x1: float, x2: float, mu: float) -> float:
@@ -478,16 +403,13 @@ class FourierInput:
                 f"up to {kmax}"
             )
         inv_2pi = 1.0 / (2.0 * math.pi)
-
-        def rows():
-            per_k1: dict[int, np.ndarray] = {}
-            for (k1, k2), v in self.coefficients.items():
-                row = per_k1.setdefault(k1, np.zeros(resolution, dtype=complex))
-                phase = -1.0 if (k1 + k2) % 2 else 1.0
-                row[k2 % resolution] += v * inv_2pi * phase
-            yield from per_k1.items()
-
-        return _fold_synthesis(resolution, rows())
+        # e^{i k.x_i} = (-1)^k e^{2 pi i k i/res}: one DFT bin per mode, and
+        # res > 2 kmax keeps the bins distinct and (0, 0) empty
+        A = np.zeros((resolution, resolution), dtype=complex)
+        for (k1, k2), v in self.coefficients.items():
+            phase = -1.0 if (k1 + k2) % 2 else 1.0
+            A[k1 % resolution, k2 % resolution] += v * inv_2pi * phase
+        return (resolution * resolution * np.fft.ifft2(A)).real
 
 
 _WHICH = ("log_theta0", "log_doublelog", "algebraic")

@@ -16,7 +16,7 @@ from scipy.special import k0 as bessel_k0
 
 from torsob import field
 from torsob.errors import DomainError, ToleranceUnreachableError
-from torsob.lattice import CaseDN, critical_sums
+from torsob.lattice import CaseDN, PrecisionConfig, _z2_moment, critical_sums
 
 MU_STAR = 0.1221104705136475
 DELTA_STAR = 3.9288361657183553
@@ -94,7 +94,9 @@ def test_extremal_delta_ratio(star_grid):
 def test_extremal_spectral_norms(star_grid):
     s = critical_sums(MU_STAR)
     assert abs(star_grid.grad_norm_sq - 4.0 * math.pi**2 * s.g.value) < 1e-9
-    # the h-sum converges slowest; its truncation deficit is certified small
+    # grad and lap are the closed sums themselves, so the deficit is 0;
+    # l2 is summed over |k| <= R with a rigorous tail bound, checked in
+    # test_extremal_l2_matches_partial_fractions
     assert 0.0 <= 4.0 * math.pi**2 * s.h.value - star_grid.lap_norm_sq < 1e-4
     assert star_grid.l2_norm_sq > 0.0
 
@@ -171,9 +173,59 @@ def test_extremal_validation():
 
 
 def test_extremal_unreachable_mu():
-    # the delta-ratio certificate needs a radius beyond the synthesis cap
+    # the certified error of critical_sums at mu = 10 (about 7e-15) cannot
+    # reach the requested target
     with pytest.raises(ToleranceUnreachableError):
-        field.extremal_field(0.001, 64)
+        field.extremal_field(10.0, 64, PrecisionConfig(target_abs_tol=1e-17))
+    # the l2 sum at mu = 0.5 needs a radius of 163
+    with pytest.raises(ToleranceUnreachableError, match="l2 norm"):
+        field.extremal_field(0.5, 64, PrecisionConfig(max_radius=100))
+
+
+@pytest.mark.parametrize("mu", [0.3, 3.0])
+def test_extremal_nodes_match_image_route(mu):
+    # the screened series is g0 minus the K0 image sum plus mu; node
+    # differences cancel the grid mean
+    fg = field.extremal_field(mu, 64)
+    ax = fg.axis()
+
+    def image_route(i, j):
+        x1, x2 = float(ax[i]), float(ax[j])
+        return (
+            field.g0_value((x1, x2))
+            - 2.0 * math.pi * field._bessel_image_sum(x1, x2, mu)
+            + mu
+        )
+
+    n0 = (0, 0)
+    for n in [(5, 40), (31, 33), (10, 63), (32, 0), (50, 17)]:
+        got = fg.values[n] - fg.values[n0]
+        assert abs(got - (image_route(*n) - image_route(*n0))) < 1e-12
+
+
+@pytest.mark.parametrize("mu", [0.001, 0.1, 0.5])
+def test_extremal_l2_matches_partial_fractions(mu):
+    # 1/(q(1+mu q))^2 = 1/q^2 - 2 mu/(q(1+mu q)) + mu^2/(1+mu q)^2
+    s = critical_sums(mu)
+    ident = 4.0 * math.pi**2 * (
+        _z2_moment(2).value - 2.0 * mu * s.f.value + mu * mu * s.h.value
+    )
+    l2 = field.extremal_field(mu, 64).l2_norm_sq
+    assert abs(l2 - ident) <= 1e-12 * ident
+
+
+@pytest.mark.parametrize("mu", [0.001, 1e4])
+def test_extremal_origin_is_f_less_aliasing(mu):
+    # the grid mean is the aliasing sum over k = res m, m != 0, which is
+    # f(mu res^2)/res^2; the origin node is f(mu) less that.  At mu = 0.001
+    # the aliasing is largest; at mu = 1e4 a rounding error common to all
+    # nodes would shift the mean and with it the origin
+    f = critical_sums(mu).f.value
+    for res in (64, 128):
+        origin = field.extremal_field(mu, res).values[res // 2, res // 2]
+        alias = critical_sums(mu * res * res).f.value / res**2
+        assert abs(origin - (f - alias)) <= 1e-11 * f
+    assert f - origin < 1e-5 * f
 
 
 def test_field_grid_validation(star_grid):
