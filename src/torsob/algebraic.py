@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._optim import golden_max
+from ._optim import brentq, golden_max
 from .curve import ThetaSample
 from .errors import DomainError, ToleranceUnreachableError, TorsobError
 from .lattice import (
@@ -148,7 +147,7 @@ def theta_dn(
         hi += 2.0
     else:
         raise TorsobError("theta_dn: no bracket on the large-mu side")
-    lm = float(brentq(fun, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
+    lm = brentq(fun, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300)
     mu = math.exp(lm)
     dd, th = _delta_theta(case, mu, cfg)
     if abs(dd - delta) > cfg.root_tol * max(delta, 1.0) + 1e-10 * delta:
@@ -237,8 +236,8 @@ def positive_crossings(
     def shifted_at(delta: float) -> float:
         return shifted_deviation(case, delta, cfg)
 
-    lo = float(brentq(shifted_at, deltas[i0 - 1], deltas[i0], xtol=1e-9))
-    hi = float(brentq(shifted_at, deltas[i1 + 1], deltas[i1], xtol=1e-9))
+    lo = brentq(shifted_at, deltas[i0 - 1], deltas[i0], xtol=1e-9)
+    hi = brentq(shifted_at, deltas[i1 + 1], deltas[i1], xtol=1e-9)
     return lo, hi
 
 

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._optim import golden_max
+from ._optim import brentq, golden_max
 from .errors import DomainError, TorsobError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -163,7 +162,7 @@ def _solve_eps(delta: float, cfg: PrecisionConfig, hint: float | None = None) ->
             raise TorsobError(f"mu_of_delta: no upper bracket for delta={delta!r}")
         if lo == hi:
             return lo
-    eps = float(brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+    eps = brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
     achieved = _delta_of_eps(eps, cfg)
     if abs(achieved - delta) > cfg.root_tol * max(delta, 1.0) + 1e-11 * delta:
         raise TorsobError(
@@ -240,7 +239,7 @@ def _verify_model_range(tag: str, mu_min: float) -> tuple[float, float]:
     if got:
         mu_max = got[1]
     else:
-        mu_max = float(brentq(lambda m: pair(m)[0] - 1.0, 0.5, 3.0, xtol=1e-14))
+        mu_max = brentq(lambda m: pair(m)[0] - 1.0, 0.5, 3.0, xtol=1e-14)
         while pair(math.exp(math.log(mu_max)))[0] > 1.0:
             mu_max = math.nextafter(mu_max, math.inf)
     grid = np.exp(np.linspace(math.log(mu_min), math.log(mu_max), 512))
@@ -265,15 +264,13 @@ def _invert_model(tag: str, delta: float) -> float:
                 f"theta_model({tag}): delta={delta!r} beyond invertible range"
             )
     mu_min, mu_max = _verify_model_range(tag, mu_min)
-    return float(
-        brentq(
-            lambda lm: pair(math.exp(lm))[0] - delta,
-            math.log(mu_min),
-            math.log(mu_max),
-            xtol=1e-14,
-            rtol=8.9e-16,
-            maxiter=200,
-        )
+    return brentq(
+        lambda lm: pair(math.exp(lm))[0] - delta,
+        math.log(mu_min),
+        math.log(mu_max),
+        xtol=1e-14,
+        rtol=8.9e-16,
+        maxiter=200,
     )
 
 

@@ -29,10 +29,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import k0 as _vec_k0, k1 as _vec_k1, zeta as _hurwitz_zeta
 
 from .errors import DomainError, ResourceLimitError, ToleranceUnreachableError
-from .specfun import EULER_GAMMA, SpecialValue, zeta_dirichlet
+from .specfun import (
+    EULER_GAMMA,
+    SpecialValue,
+    _bessel_k_ufuncs,
+    _hurwitz_zeta,
+    zeta_dirichlet,
+)
 
 __all__ = [
     "PrecisionConfig",
@@ -622,8 +627,9 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     r = np.sqrt(q)
     args = t1 * r
     keep = args < 740.0
-    b0 = float(np.dot(c[keep], _vec_k0(args[keep])))
-    b1 = float(np.dot(c[keep], r[keep] * _vec_k1(args[keep])))
+    k0, k1 = _bessel_k_ufuncs()
+    b0 = float(np.dot(c[keep], k0(args[keep])))
+    b1 = float(np.dot(c[keep], r[keep] * k1(args[keep])))
     # geometric bound for everything beyond radius M (ratio e^{-t1} per step)
     argM = t1 * (M + 1)
     if argM > 700.0:
@@ -779,7 +785,7 @@ def general_sums(
                 break
             sign = -1.0 if m % 2 == 0 else 1.0
             if d == 1:
-                moment = 2.0 * float(_hurwitz_zeta(p, T + 1))
+                moment = 2.0 * _hurwitz_zeta(p, float(T + 1))
                 term = (
                     math.exp(-m * log_mu + math.log(moment)) if moment > 0.0 else 0.0
                 )

@@ -12,14 +12,18 @@ References for the classical material:
   function", Adv. Comput. Math. 5 (1996) 329-359.
 * Dirichlet beta acceleration: Cohen, Rodriguez Villegas & Zagier,
   "Convergence acceleration of alternating series", Exp. Math. 9 (2000).
+* Riemann and Hurwitz zeta: the Cephes routines ``zetac`` and ``zeta``
+  (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989),
+  ported operation for operation, so the values are the ones
+  ``scipy.special.zeta`` returns, without importing scipy.
+* Bessel K0/K1: the Cephes kernels as wrapped by ``scipy.special``, which
+  is imported on the first Bessel evaluation and by nothing else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1, zeta as _scipy_zeta
 
 from .errors import DomainError
 
@@ -85,10 +89,29 @@ def bessel_k(order: int, x: float) -> SpecialValue:
     if x >= _BESSEL_UNDERFLOW_X:
         # e^-x sqrt(pi/2x) < 1e-318 here: the value is not representable.
         return SpecialValue(0.0, 1e-317)
-    v = float(_scipy_k0(x) if order == 0 else _scipy_k1(x))
+    v = float(_bessel_k_ufuncs()[order](x))
     # cephes kernels are good to ~1.5e-15 relative on this range; keep a
     # safety factor of two and an absolute floor for deeply subnormal output.
     return SpecialValue(v, max(3e-15 * abs(v), 5e-324))
+
+
+_BESSEL_UFUNCS = None
+
+
+def _bessel_k_ufuncs():
+    """``(scipy.special.k0, scipy.special.k1)``, imported on first use.
+
+    Only the Bessel kernels need scipy; loading it here, not at import,
+    keeps it off the import path of every caller that never evaluates a
+    Bessel function.  The pair holds library functions, no computed
+    value, so ``perfbench/run.py::reset_torsob`` need not clear it.
+    """
+    global _BESSEL_UFUNCS
+    if _BESSEL_UFUNCS is None:
+        from scipy.special import k0, k1
+
+        _BESSEL_UFUNCS = (k0, k1)
+    return _BESSEL_UFUNCS
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +193,143 @@ def lambert_w(branch: int, x: float) -> SpecialValue:
 # ---------------------------------------------------------------------------
 
 
+#: Cephes' MACHEP: the relative stopping threshold of its series.
+_MACHEP = 2.0**-53
+
+# Cephes zetac: zeta(j) - 1 for integer j = 2..30, rational approximations
+# for 1 < s <= 10 (P/Q in 1/s) and for 10 < s <= 50 (A/B in s,
+# exponentiated).
+_ZETAC_INT = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
+    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
+    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
+    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
+    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
+    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
+    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
+    1.862659723513049e-09, 9.313274324196682e-10,
+)
+_ZETAC_P = (
+    585746514569.7253, 257534127756.10257, 48778115956.79482,
+    5153995380.238857, 341646073.5147541, 16083700.68806565,
+    592785.4673421095, 15112.916996493883, 201.82244448599795,
+)
+_ZETAC_Q = (
+    390497676373.37115, 52285823536.82722, 5644515172.712806,
+    339006746.0153504, 17941037.150012646, 566666.8251313848,
+    16038.297681094413, 196.4362372233873,
+)
+_ZETAC_A = (
+    8707285.674845902, 176506865.67034647, 26088950670.748325,
+    529806374009.8948, 22688815611923.824, 331884402932705.06,
+    5137789979758682.0, -1981236881339071.8, -9.927638100399835e16,
+    7.829053761808706e16, 9.267862757689277e16,
+)
+_ZETAC_B = (
+    -7926254.105637411, -160529969.93292022, -23766926097.55432,
+    -480319584350.4552, -20782096175417.332, -296075404507272.25,
+    -4862991036946091.0, 5345895096757899.0, 5.714641110922976e16,
+    -1.7991559765867656e16,
+)
+# Cephes zeta: Euler-Maclaurin divisors (2k)! / B_2k of the correction terms
+_HURWITZ_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+    -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+    1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    # polevl with an implied leading coefficient 1
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _riemann_zeta(s: float) -> float:
+    """Riemann zeta(s) for s > 1, as 1 + Cephes zetac(s)."""
+    if s >= 127.0:
+        zc = 0.0  # Cephes' cutoff; 1 + zetac(s) is 1 well before it
+    elif s == math.floor(s) and s < 31.0:
+        zc = _ZETAC_INT[int(s) - 2]
+    elif s <= 10.0:
+        b = math.pow(2.0, s) * (s - 1.0)
+        w = 1.0 / s
+        zc = (s * _polevl(w, _ZETAC_P)) / (b * _p1evl(w, _ZETAC_Q))
+    elif s <= 50.0:
+        b = math.pow(2.0, -s)
+        w = _polevl(s, _ZETAC_A) / _p1evl(s, _ZETAC_B)
+        zc = math.exp(w) + b
+    else:
+        # odd terms summed directly; the even ones are 2^-s zeta(s)
+        acc = 0.0
+        a = 1.0
+        while True:
+            a += 2.0
+            b = math.pow(a, -s)
+            acc += b
+            if not b / acc > _MACHEP:
+                break
+        b = math.pow(2.0, -s)
+        zc = (acc + b) / (1.0 - b)
+    return 1.0 + zc
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta(x, q) = sum_{k>=0} (k + q)^-x for x > 1, q > 0: Cephes'
+    Euler-Maclaurin summation, nine or more direct terms (until k + q > 9)
+    and up to twelve correction terms."""
+    if not (x > 1.0 and q > 0.0):
+        raise DomainError(f"hurwitz zeta: need x > 1 and q > 0, got ({x!r}, {q!r})")
+    if q > 1e8:
+        # leading terms of the large-q expansion (DLMF 25.11.43)
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * math.pow(q, 1.0 - x)
+    try:
+        s = math.pow(q, -x)
+    except OverflowError:
+        return math.inf  # as in C: the first term is inf and ends the sum
+    if s == 0.0:
+        return 0.0  # every term underflows (Cephes reaches this through 0/0)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _HURWITZ_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _cvz_alternating(s: float, n: int = 48) -> float:
     # Cohen-Rodriguez Villegas-Zagier acceleration of
     # sum_{k>=0} (-1)^k (2k+1)^(-s); converges ~ 5.83^-n for all s > 0.
@@ -208,7 +368,7 @@ def zeta_dirichlet(s: float, laurent: bool = False) -> tuple[SpecialValue, Speci
     if not (s > 0.0):
         raise DomainError(f"zeta_dirichlet: need s > 0, got {s!r}")
     if s > 1.0:
-        z = float(_scipy_zeta(s))
+        z = _riemann_zeta(s)
         return (
             SpecialValue(z, 4e-15 * abs(z)),
             dirichlet_beta(s),
