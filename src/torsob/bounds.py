@@ -88,9 +88,8 @@ def _mixed_sum(mu: float, eps: float, cfg: PrecisionConfig) -> float:
             "point budget"
         )
     q, c = _shells(2, radius)
-    cut = np.searchsorted(q, float(radius * radius), side="right")
     desc = TailDescriptor(kind="hardy_mixed", mu=mu, eps=eps)
-    body = float(np.dot(c[:cut], desc.evaluate(q[:cut])))
+    body = float(np.dot(c, desc.evaluate(q)))
     lo, hi = tail_bracket(float(radius), desc, cfg)
     return body + 0.5 * (lo + hi)
 

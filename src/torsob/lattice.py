@@ -15,6 +15,13 @@ This module owns every infinite lattice sum in the package:
   evaluation used as a cross-method oracle;
 * partial sums, rigorous tail brackets, and sum-of-two-squares counting.
 
+Three kernels sit under these sums, each written once: the shell table
+(:func:`_shells`, distinct |k|^2 with multiplicities, built one coordinate
+at a time from the closed-form d = 1 table), the theta splitting of the
+full-lattice moments (:func:`_epstein_theta_split`), and the tail moments
+taken as full-lattice moment minus partial sum, clipped into their
+integral bracket (:func:`_clipped_moment`).
+
 Error accounting: every returned component carries an absolute error bound
 assembled from (i) closed-form integral brackets on the discarded tail,
 (ii) explicit bounds on omitted expansion orders, and (iii) a floating
@@ -138,7 +145,13 @@ def _budget_radius(d: int) -> int:
 def _shells(d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct squared norms q = |k|^2 with 0 < q <= radius^2 and their
     multiplicities, for k in Z^d.  Cached per dimension; the cache only
-    grows."""
+    grows.
+
+    d = 1 is the closed form q = k^2 with count 2.  Each further coordinate
+    k_d = k is added to the table of one dimension less, origin included:
+    the points (k', +-k) with |k'|^2 <= radius^2 - k^2 land on the squared
+    norms k^2 + q' with count (1 if k = 0 else 2) * c'.  The counts are
+    integers, so every order of accumulation gives the same table."""
     radius = int(radius)
     cached = _SHELL_CACHE.get(d)
     if cached is not None and cached[0] >= radius:
@@ -146,72 +159,30 @@ def _shells(d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
         cut = np.searchsorted(q, radius * radius, side="right")
         return q[:cut], c[:cut]
 
-    r2 = radius * radius
     if d == 1:
         k = np.arange(1, radius + 1, dtype=np.float64)
         q = k * k
         c = np.full(radius, 2.0)
     else:
-        npts = (2 * radius + 1) ** d
-        if npts > _POINT_BUDGET[d]:
+        if (2 * radius + 1) ** d > _POINT_BUDGET[d]:
             raise ResourceLimitError(
                 f"shell enumeration for d={d}, radius={radius} exceeds point budget"
             )
-        counts = np.zeros(r2 + 1, dtype=np.float64)
-        buf_q: list[np.ndarray] = []
-        buf_w: list[np.ndarray] = []
-        buf_len = 0
-
-        def flush() -> None:
-            nonlocal buf_len
-            if buf_q:
-                qq = np.concatenate(buf_q)
-                ww = np.concatenate(buf_w)
-                counts[:] += np.bincount(qq, weights=ww, minlength=r2 + 1)
-                buf_q.clear()
-                buf_w.clear()
-                buf_len = 0
-
-        def push(qq: np.ndarray, ww: np.ndarray) -> None:
-            nonlocal buf_len
-            buf_q.append(qq)
-            buf_w.append(ww)
-            buf_len += len(qq)
-            if buf_len >= 4_000_000:
-                flush()
-
-        if d == 2:
-            # sign-orbit weights on the nonnegative quadrant
-            for k1 in range(0, radius + 1):
-                rem = r2 - k1 * k1
-                if rem < 0:
-                    break
-                kmax = math.isqrt(rem)
-                k2 = np.arange(0, kmax + 1, dtype=np.int64)
-                qq = k1 * k1 + k2 * k2
-                w = np.full(len(k2), 4.0 if k1 > 0 else 2.0)
-                w[0] /= 2.0  # k2 == 0 entry
-                push(qq, w)
-        else:  # d == 3
-            for k1 in range(0, radius + 1):
-                rem1 = r2 - k1 * k1
-                if rem1 < 0:
-                    break
-                w1 = 1.0 if k1 == 0 else 2.0
-                for k2 in range(0, math.isqrt(rem1) + 1):
-                    rem2 = rem1 - k2 * k2
-                    kmax = math.isqrt(rem2)
-                    k3 = np.arange(0, kmax + 1, dtype=np.int64)
-                    qq = k1 * k1 + k2 * k2 + k3 * k3
-                    w2 = w1 if k2 == 0 else 2.0 * w1
-                    w = np.full(len(k3), 2.0 * w2)
-                    w[0] /= 2.0  # k3 == 0 entry
-                    push(qq, w)
-        flush()
-        counts[0] = 0.0
-        qi = np.nonzero(counts)[0]
-        q = qi.astype(np.float64)
-        c = counts[qi]
+        r2 = radius * radius
+        q_prev = np.arange(radius + 1, dtype=np.int64) ** 2  # d = 1 with origin
+        c_prev = np.full(radius + 1, 2.0)
+        c_prev[0] = 1.0
+        for _ in range(d - 1):
+            counts = np.zeros(r2 + 1, dtype=np.float64)
+            for k in range(radius + 1):
+                # q_prev is sorted and distinct, so these indices are too
+                n = np.searchsorted(q_prev, r2 - k * k, side="right")
+                counts[k * k + q_prev[:n]] += (2.0 if k else 1.0) * c_prev[:n]
+            q_prev = np.nonzero(counts)[0]
+            c_prev = counts[q_prev]
+            del counts
+        q = q_prev[1:].astype(np.float64)  # entry 0 is the origin
+        c = c_prev[1:]
     _SHELL_CACHE[d] = (radius, q, c)
     return q, c
 
@@ -402,11 +373,8 @@ def tail_bracket(
     r_done = R
     while True:
         q, c = _shells(2, r_ext)
-        lo_cut = np.searchsorted(q, r_done * r_done, side="right")
-        hi_cut = np.searchsorted(q, r_ext * r_ext, side="right")
-        if hi_cut > lo_cut:
-            sl = slice(lo_cut, hi_cut)
-            exact += float(np.dot(c[sl], descriptor.evaluate(q[sl])))
+        cut = np.searchsorted(q, r_done * r_done, side="right")
+        exact += float(np.dot(c[cut:], descriptor.evaluate(q[cut:])))
         r_done = float(r_ext)
         lo, hi = _bracket_beyond(descriptor, r_done)
         if hi - lo <= cfg.target_abs_tol or r_ext >= r_cap:
@@ -442,62 +410,74 @@ def _z2_moment(j: int) -> SpecialValue:
 _Z3_CACHE: dict[int, SpecialValue] = {}
 
 
-def _z3_moment(j: int) -> SpecialValue:
-    """Full-lattice moment sum' over Z^3 of |k|^{-2j} by incomplete-gamma
-    theta splitting (Crandall's representation); converges like e^{-pi q}."""
-    got = _Z3_CACHE.get(j)
-    if got is not None:
-        return got
+def _epstein_theta_split(d: int, s) -> float:
+    """sum' over Z^d of |k|^{-2s} (d = 2, 3) by incomplete-gamma theta
+    splitting (Crandall's representation), at 30 digits:
+
+    Z(2s) = pi^s/Gamma(s) [ 1/(s - d/2) - 1/s
+            + sum' { (pi q)^{-s} Gamma(s, pi q) + (pi q)^{s-d/2} Gamma(d/2 - s, pi q) } ]
+
+    s may be any exact mpmath input; it is rounded to 30 digits.  The shell
+    sum converges like e^{-pi q}; beyond the radii 5 (d = 2) and 4 (d = 3)
+    it leaves about 1e-35 and 1e-22, far below double precision."""
     import mpmath as mp
 
     with mp.workdps(30):
-        s = mp.mpf(j)
-        q, c = _shells(3, 4)
+        s = mp.mpf(s)
+        half_d = mp.mpf(d) / 2
+        q, c = _shells(d, 5 if d == 2 else 4)
         acc = mp.mpf(0)
         for qi, ci in zip(q, c):
             piq = mp.pi * mp.mpf(qi)
             acc += mp.mpf(ci) * (
                 (piq ** (-s)) * mp.gammainc(s, piq)
-                + (piq ** (s - mp.mpf(3) / 2)) * mp.gammainc(mp.mpf(3) / 2 - s, piq)
+                + (piq ** (s - half_d)) * mp.gammainc(half_d - s, piq)
             )
-        val = (mp.pi**s / mp.gamma(s)) * (1 / (s - mp.mpf(3) / 2) - 1 / s + acc)
-        out = float(val)
+        return float((mp.pi**s / mp.gamma(s)) * (1 / (s - half_d) - 1 / s + acc))
+
+
+def _z3_moment(j: int) -> SpecialValue:
+    """Full-lattice moment sum' over Z^3 of |k|^{-2j} by theta splitting."""
+    got = _Z3_CACHE.get(j)
+    if got is not None:
+        return got
+    out = _epstein_theta_split(3, j)
     sv = SpecialValue(out, 1e-13 * abs(out) + 1e-15)
     _Z3_CACHE[j] = sv
     return sv
 
 
-def _tail_moments(
-    q: np.ndarray, c: np.ndarray, T: int, orders=(2, 3, 4, 5, 6)
-) -> tuple[dict, dict, dict]:
-    """Tail moments  sum_{q > T^2} (mult) q^{-j}  with certified errors.
+def _clipped_moment(
+    d: int, j: int, q: np.ndarray, c: np.ndarray, lo: float, hi: float
+) -> tuple[float, float, float]:
+    """The tail moment sum_{|k| > T} |k|^{-2j} over Z^d (d = 2, 3), given
+    the shell table (q, c) up to T and the integral bracket [lo, hi].
 
-    Two estimates are combined: the closed-form integral bracket [lo, hi]
-    (rigorous; width decays like T^{1-2j} relative to nothing but slowly in
-    relative terms) and the difference full-lattice-constant minus partial
-    sum (noise-limited near 1e-14 but T-independent).  The difference is
-    clipped into the bracket; the certified error is the smaller of bracket
-    width and subtraction noise.  Returns (midpoints, errors, upper bounds,
-    pure noise levels).
+    The full-lattice moment minus the partial sum has a T-independent
+    subtraction noise near 1e-14.  If that noise is below the bracket width,
+    the difference clipped into [lo, hi] is the estimate and the noise its
+    error; otherwise the bracket midpoint and half-width are.  Returns
+    (estimate, error, noise); error == noise exactly in the first case.
     """
+    full = _z2_moment(j) if d == 2 else _z3_moment(j)
+    partial = float(np.dot(c, q ** (-float(j))))
+    noise = full.abs_error_bound + 1.6e-15 * (abs(full.value) + partial)
+    if noise < hi - lo:
+        return min(max(full.value - partial, lo), hi), noise, noise
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), noise
+
+
+def _tail_moments(q: np.ndarray, c: np.ndarray, T: int) -> tuple[dict, dict, dict, dict]:
+    """Tail moments  sum_{q > T^2} (mult) q^{-j}, j = 2..6, over Z^2 with
+    certified errors (see :func:`_clipped_moment`).  Returns (estimates,
+    errors, bracket upper bounds, subtraction noise levels)."""
     mids: dict[int, float] = {}
     errs: dict[int, float] = {}
     ups: dict[int, float] = {}
     noises: dict[int, float] = {}
-    for j in orders:
+    for j in (2, 3, 4, 5, 6):
         lo, hi = _power_tail_bracket(2, 2 * j, float(T))
-        zv = _z2_moment(j)
-        partial = float(np.dot(c, q ** (-float(j))))
-        diff = zv.value - partial
-        width = hi - lo
-        noise = zv.abs_error_bound + 1.6e-15 * (abs(zv.value) + partial)
-        noises[j] = noise
-        if noise < width:
-            mids[j] = min(max(diff, lo), hi)
-            errs[j] = noise
-        else:
-            mids[j] = 0.5 * (lo + hi)
-            errs[j] = 0.5 * width
+        mids[j], errs[j], noises[j] = _clipped_moment(2, j, q, c, lo, hi)
         ups[j] = hi
     return mids, errs, ups, noises
 
@@ -792,22 +772,12 @@ def general_sums(
                 floor_err = 8e-16 * term
                 ctrl_err = 0.0
             else:
-                zv = _z2_moment(m * n) if d == 2 else _z3_moment(m * n)
-                partial = float(np.dot(c, q ** (-float(m * n))))
-                diff = zv.value - partial
-                width = hi - lo
-                noise = zv.abs_error_bound + 1.6e-15 * (abs(zv.value) + partial)
-                if noise < width:
-                    est = min(max(diff, lo), hi)
-                    scaled_err = math.exp(-m * log_mu + math.log(noise))
+                est, err, noise = _clipped_moment(d, m * n, q, c, lo, hi)
+                scaled_err = math.exp(-m * log_mu + math.log(err)) if err > 0.0 else 0.0
+                # subtraction noise is a floor; a bracket half-width shrinks with T
+                if err == noise:
                     floor_err, ctrl_err = scaled_err, 0.0
                 else:
-                    est = 0.5 * (lo + hi)
-                    scaled_err = (
-                        math.exp(-m * log_mu + math.log(0.5 * width))
-                        if width > 0.0
-                        else 0.0
-                    )
                     floor_err, ctrl_err = 0.0, scaled_err
                 term = math.exp(-m * log_mu + math.log(est)) if est > 0.0 else 0.0
             f += sign * term
@@ -877,35 +847,15 @@ def hardy_sum(eps: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue
     return SpecialValue(v, err)
 
 
-def hardy_sum_theta_split(eps: float, shells_radius: int = 5) -> SpecialValue:
+def hardy_sum_theta_split(eps: float) -> SpecialValue:
     """Independent evaluation of the same lattice sum by incomplete-gamma
-    theta splitting (Crandall's representation), used as a cross-method
-    oracle for :func:`hardy_sum`.
-
-    Z(2s) = pi^s/Gamma(s) [ 1/(s - d/2) - 1/s
-            + sum' { (pi q)^{-s} Gamma(s, pi q) + (pi q)^{s-d/2} Gamma(d/2 - s, pi q) } ]
-    with d = 2 and s = 1 + eps; the shell sum converges like exp(-pi q).
-    """
+    theta splitting (:func:`_epstein_theta_split` with d = 2, s = 1 + eps),
+    used as a cross-method oracle for :func:`hardy_sum`."""
     import mpmath as mp
 
     if not (eps > 0.0):
         raise DomainError(f"hardy_sum_theta_split: need eps > 0, got {eps!r}")
-    with mp.workdps(30):
-        s = mp.mpf(1) + mp.mpf(eps)
-        d = 2
-        q, c = _shells(2, shells_radius)
-        acc = mp.mpf(0)
-        for qi, ci in zip(q, c):
-            piq = mp.pi * mp.mpf(qi)
-            term = (piq ** (-s)) * mp.gammainc(s, piq) + (
-                piq ** (s - mp.mpf(d) / 2)
-            ) * mp.gammainc(mp.mpf(d) / 2 - s, piq)
-            acc += mp.mpf(ci) * term
-        val = (mp.pi**s / mp.gamma(s)) * (
-            1 / (s - mp.mpf(d) / 2) - 1 / s + acc
-        )
-        out = float(val)
-    # shell remainder decays like e^{-pi q}; radius 5 leaves < 1e-30
+    out = _epstein_theta_split(2, mp.fadd(1, eps, exact=True))
     return SpecialValue(out, max(1e-13 * abs(out), 1e-14))
 
 

@@ -11,12 +11,14 @@ The general (d,n) triple screens with q^n:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsob.errors import DomainError, ToleranceUnreachableError
+from torsob import lattice
+from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from torsob.lattice import (
     CaseDN,
     PrecisionConfig,
@@ -210,6 +212,67 @@ def test_hardy_domain():
         hardy_sum(0.0)
     with pytest.raises(DomainError):
         hardy_sum(-0.3)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_z3_moment_inside_shell_bracket(j):
+    # the theta splitting against a direct partial sum over |k| <= 40 plus
+    # the integral bracket on the rest
+    q, c = lattice._shells(3, 40)
+    partial = math.fsum(c * q ** (-float(j)))
+    lo, hi = lattice._power_tail_bracket(3, 2 * j, 40.0)
+    assert partial + lo < lattice._z3_moment(j).value < partial + hi
+
+
+# ------------------------------------------------------------ shell table
+
+
+def brute_shells(d, r):
+    """Distinct 0 < |k|^2 <= r^2 and their counts over the (2r+1)^d box."""
+    k = np.arange(-r, r + 1)
+    q = sum(np.meshgrid(*([k * k] * d), indexing="ij")).ravel()
+    q, c = np.unique(q[(q > 0) & (q <= r * r)], return_counts=True)
+    return q.astype(np.float64), c.astype(np.float64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, 7, 13])
+def test_shells_match_brute_force(d, r, monkeypatch):
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    q, c = lattice._shells(d, r)
+    want_q, want_c = brute_shells(d, r)
+    assert q.dtype == c.dtype == np.float64
+    assert q.tobytes() == want_q.tobytes()
+    assert c.tobytes() == want_c.tobytes()
+
+
+@pytest.mark.parametrize("d, big", [(1, 500), (2, 300), (3, 60)])
+def test_shells_sliced_from_cache_equal_fresh(d, big, monkeypatch):
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    lattice._shells(d, big)
+    cached = lattice._SHELL_CACHE[d]
+    for r in (0, 1, 2, 7, 13, big // 2 + 1):
+        q, c = lattice._shells(d, r)
+        assert lattice._SHELL_CACHE[d] is cached  # served from the big table
+        lattice._SHELL_CACHE.clear()
+        fresh_q, fresh_c = lattice._shells(d, r)
+        assert q.tobytes() == fresh_q.tobytes()
+        assert c.tobytes() == fresh_c.tobytes()
+        lattice._SHELL_CACHE[d] = cached
+
+
+@pytest.mark.parametrize("d, r", [(3, 171), (2, 6124)])
+def test_shells_over_budget_raise_before_allocating(d, r, monkeypatch):
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            lattice._shells(d, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # one r^2 count array would be 8 (r^2 + 1) bytes
+    assert lattice._SHELL_CACHE == {}
 
 
 # ---------------------------------------------------------- tail brackets
