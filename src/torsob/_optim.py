@@ -3,6 +3,8 @@
 * ``golden_min``/``golden_max``: a plain golden-section bracketing
   minimizer; no gradients, no surprises.  The objective is evaluated once
   per shrink step, matching the classical scheme (Kiefer 1953).
+* ``grid_max``: the maximum of a function sampled on a grid, every
+  interior local maximum polished by ``golden_max``.
 * ``brentq``: bracketed root finding by Brent's method (Brent 1973,
   *Algorithms for Minimization without Derivatives*, ch. 4), ported line
   for line from scipy's C routine ``brentq.c``: the same floating-point
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 import sys
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, ToleranceUnreachableError
 
@@ -72,6 +76,29 @@ def golden_max(
     """Maximize ``func`` on [lo, hi]; returns (argmax, max)."""
     x, negf = golden_min(lambda t: -func(t), lo, hi, xtol=xtol, max_iter=max_iter)
     return x, -negf
+
+
+def grid_max(
+    func: Callable[[float], float],
+    xs: np.ndarray,
+    vals: np.ndarray,
+    xtol: float,
+) -> tuple[float, float]:
+    """Maximize ``func`` from its values ``vals`` on the grid ``xs``;
+    returns (argmax, max).  Every interior local maximum is golden-polished
+    between its neighbours; an edge that beats them all is returned as
+    sampled, ``(xs[0], vals[0])`` or ``(xs[-1], vals[-1])``."""
+    best_x, best_val = float(xs[0]), -math.inf
+    interior = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
+    for i in np.nonzero(interior)[0] + 1:
+        lo, hi = min(xs[i + 1], xs[i - 1]), max(xs[i + 1], xs[i - 1])
+        x, v = golden_max(func, lo, hi, xtol=xtol)
+        if v > best_val:
+            best_x, best_val = x, v
+    for i in (0, len(vals) - 1):
+        if vals[i] > best_val:
+            best_x, best_val = float(xs[i]), float(vals[i])
+    return best_x, best_val
 
 
 # the defaults of scipy's brentq

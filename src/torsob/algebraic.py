@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import brentq, golden_max
+from ._optim import brentq, grid_max
 from .curve import ThetaSample
 from .errors import DomainError, ToleranceUnreachableError, TorsobError
 from .lattice import (
@@ -123,7 +123,7 @@ def theta_dn(
     if not (delta >= 1.0):
         raise DomainError(f"theta_dn: need delta >= 1, got {delta!r}")
     if delta == 1.0:
-        return ThetaSample(-1.0, 1.0, lowest_shell_theta(case.d), "exact")
+        return ThetaSample(-1.0, 1.0, lowest_shell_theta(case.d), "exact", 0.0)
     plateau = delta_plateau(case)
     if delta <= plateau * (1.0 + 1e-12):
         raise DomainError(
@@ -149,13 +149,16 @@ def theta_dn(
         raise TorsobError("theta_dn: no bracket on the large-mu side")
     lm = brentq(fun, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300)
     mu = math.exp(lm)
-    dd, th = _delta_theta(case, mu, cfg)
+    tr = general_sums(case, mu, cfg)
+    f, g, scale = tr.f.value, tr.g.value, (2.0 * math.pi) ** case.d
+    dd, th = tr.h.value / g, f * f / (scale * g)
     if abs(dd - delta) > cfg.root_tol * max(delta, 1.0) + 1e-10 * delta:
         raise TorsobError(
             f"theta_dn: root residual {abs(dd - delta):.3e} too large at "
             f"delta={delta!r}"
         )
-    return ThetaSample(mu, dd, th, "exact")
+    err = 2.0 * abs(f) * tr.f.abs_error_bound / (scale * g) + th * tr.g.abs_error_bound / g
+    return ThetaSample(mu, dd, th, "exact", err)
 
 
 def expansion_dn(case: CaseDN, delta: float) -> float:
@@ -203,26 +206,23 @@ def positive_crossings(
     case: CaseDN, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
     """The principal positive window of the shifted deviation: its first
-    up-crossing and the down-crossing that follows, located by scan plus
-    bisection.  (The oscillatory transient can open further windows of tiny
-    amplitude at larger delta -- e.g. (2,3) goes positive again near
-    delta ~ 140-170 at the 3e-5 level -- which are not part of the
-    reported interval.)"""
+    up-crossing and the down-crossing that follows, as delta at the roots
+    of the parametric Theta(mu) - c delta(mu)^{d/2n} + U, each solved in
+    log mu between the two points of a 500-point z scan that bracket it.
+    (The oscillatory transient can open further windows of tiny amplitude
+    at larger delta -- e.g. (2,3) goes positive again near delta ~ 140-170
+    at the 3e-5 level -- which are not part of the reported interval.)"""
     d, n = case.d, case.n
-    zs = np.linspace(0.35, 6.0, 500)
-    mus = zs ** (-2.0 * n)
-    vals = []
-    deltas = []
     U = remainder_upper_bound(case)
     c = leading_constant(case)
     p = d / (2.0 * n)
-    for mu in mus:
-        dd, th = _delta_theta(case, float(mu), cfg)
-        deltas.append(dd)
-        vals.append(th - c * dd**p + U)
-    vals = np.array(vals)
-    deltas = np.array(deltas)
-    pos = vals > 0.0
+
+    def shifted_at(lm: float) -> float:
+        dd, th = _delta_theta(case, math.exp(lm), cfg)
+        return th - c * dd**p + U
+
+    lms = -2.0 * n * np.log(np.linspace(0.35, 6.0, 500))
+    pos = np.array([shifted_at(lm) for lm in lms]) > 0.0
     if not pos.any():
         raise DomainError(
             f"positive_crossings: shifted deviation never positive for (d,n)=({d},{n})"
@@ -233,12 +233,11 @@ def positive_crossings(
         raise TorsobError("positive_crossings: positive window hits the scan edge")
     i1 = i0 + int(after[0]) - 1
 
-    def shifted_at(delta: float) -> float:
-        return shifted_deviation(case, delta, cfg)
+    def end(a: float, b: float) -> float:
+        lm = brentq(shifted_at, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300)
+        return _delta_theta(case, math.exp(lm), cfg)[0]
 
-    lo = brentq(shifted_at, deltas[i0 - 1], deltas[i0], xtol=1e-9)
-    hi = brentq(shifted_at, deltas[i1 + 1], deltas[i1], xtol=1e-9)
-    return lo, hi
+    return end(lms[i0 - 1], lms[i0]), end(lms[i1 + 1], lms[i1])
 
 
 @dataclass(frozen=True)
@@ -334,20 +333,8 @@ def remainder_constant(
     vals = np.array([F_of_logmu(lm) for lm in lms])
     f_at_one = lowest_shell_theta(d) - c  # delta = 1 endpoint, closed form
 
-    def refine_best() -> tuple[float, float]:
-        best_val, best_lm = -math.inf, lms[0]
-        interior = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-        for i in np.nonzero(interior)[0] + 1:
-            lo, hi = min(lms[i + 1], lms[i - 1]), max(lms[i + 1], lms[i - 1])
-            lm_star, v_star = golden_max(F_of_logmu, lo, hi, xtol=1e-11)
-            if v_star > best_val:
-                best_val, best_lm = v_star, lm_star
-        for i in (0, len(vals) - 1):  # edges can carry the max toward the cap
-            if vals[i] > best_val:
-                best_val, best_lm = float(vals[i]), float(lms[i])
-        return best_val, best_lm
-
-    best_val, best_lm = refine_best()
+    # the edges count: they can carry the maximum toward the cap
+    best_lm, best_val = grid_max(F_of_logmu, lms, vals, xtol=1e-11)
     # certify that the tail beyond the cap cannot beat what was found:
     # either the expansion remainder sits below the third term (tail below
     # -U for good), or it sits below the gap to an interior maximum
@@ -369,7 +356,7 @@ def remainder_constant(
         zs = np.concatenate([zs, ext])
         lms = -2.0 * n * np.log(zs)
         vals = np.concatenate([vals, [F_of_logmu(lm) for lm in -2.0 * n * np.log(ext)]])
-        best_val, best_lm = refine_best()
+        best_lm, best_val = grid_max(F_of_logmu, lms, vals, xtol=1e-11)
     else:
         raise ToleranceUnreachableError(
             f"remainder_constant: expansion regime not reached for (d,n)=({d},{n})"

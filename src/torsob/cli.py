@@ -44,12 +44,12 @@ from .algebraic import (
 )
 from .bounds import alpha_constant, first_method_bound, mode_splitting_bound
 from .curve import (
-    FOUR_MODE_THETA,
     _invert_model,
     find_L,
     loglog_lower_constant,
     mu_of_delta,
     theta_model,
+    theta_point,
 )
 from .errors import InputFormatError, TorsobError
 from .field import FourierInput, extremal_field, verify_inequality
@@ -59,11 +59,8 @@ from .lattice import (
     CaseDN,
     PrecisionConfig,
     beta_constant,
-    critical_sums,
 )
 from .specfun import CATALAN, dirichlet_beta_prime_at_1
-
-_FOUR_PI_SQ = 4.0 * math.pi**2
 
 _MODEL_MAP = {
     "exact": "exact",
@@ -266,18 +263,8 @@ def cmd_theta(args) -> int:
     for d in parse_grid(args.delta_grid):
         d = float(d)
         if model == "exact":
-            if d == 1.0:
-                rows.append((1.0, FOUR_MODE_THETA, -1.0, 0.0))
-                continue
-            mu = mu_of_delta(d, cfg)
-            tr = critical_sums(mu, "auto", cfg)
-            f, g = tr.f.value, tr.g.value
-            theta = f * f / (_FOUR_PI_SQ * g)
-            err = (
-                2.0 * abs(f) * tr.f.abs_error_bound / (_FOUR_PI_SQ * g)
-                + theta * tr.g.abs_error_bound / g
-            )
-            rows.append((d, theta, mu, err))
+            s = theta_point(mu_of_delta(d, cfg), cfg)
+            rows.append((d, s.theta, s.mu, s.abs_error_bound))
         elif model == "loglog_asymptotic":
             rows.append((d, theta_model(model, d, cfg), math.nan, 0.0))
         else:
@@ -316,11 +303,11 @@ def cmd_constants(args) -> int:
         },
         "L": {
             "value": rep.L,
-            "method": "grid scan plus golden-section maximum of "
-            "4 pi Theta(delta) - log delta - log(1 + log delta)",
+            "method": "maximum of 4 pi Theta - log delta - log(1 + log delta) along "
+            "the parametric curve: grid scan in asinh(1/mu), golden-section polish",
         },
-        "delta_star": {"value": rep.delta_star, "method": "argmax of the same objective"},
-        "mu_star": {"value": rep.mu_star, "method": "curve parameter at delta_star"},
+        "delta_star": {"value": rep.delta_star, "method": "h/g at mu_star"},
+        "mu_star": {"value": rep.mu_star, "method": "argmax of the same objective"},
         "alpha": {
             "value": alpha_constant(),
             "method": "Lambert-W closed form of the single-log loss factor",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import brentq, golden_max
+from ._optim import brentq, grid_max
 from .errors import DomainError, TorsobError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -59,12 +59,14 @@ _FOUR_PI_SQ = 4.0 * math.pi**2
 
 @dataclass(frozen=True)
 class ThetaSample:
-    """One point on (an approximation of) the curve delta -> Theta."""
+    """One point on (an approximation of) the curve delta -> Theta, with the
+    Theta error bound propagated from the lattice sums (0.0 in closed form)."""
 
     mu: float
     delta: float
     theta: float
     model: str
+    abs_error_bound: float
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -116,37 +118,24 @@ def theta_point(mu: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThetaSample
     lattice summation.
     """
     if mu == -1.0:
-        return ThetaSample(-1.0, 1.0, FOUR_MODE_THETA, "exact")
+        return ThetaSample(-1.0, 1.0, FOUR_MODE_THETA, "exact", 0.0)
     tr = critical_sums(mu, "auto", cfg)
-    delta = tr.h.value / tr.g.value
-    theta = tr.f.value * tr.f.value / (_FOUR_PI_SQ * tr.g.value)
-    return ThetaSample(mu, delta, theta, "exact")
+    f, g = tr.f.value, tr.g.value
+    theta = f * f / (_FOUR_PI_SQ * g)
+    err = 2.0 * abs(f) * tr.f.abs_error_bound / (_FOUR_PI_SQ * g) + theta * tr.g.abs_error_bound / g
+    return ThetaSample(mu, tr.h.value / g, theta, "exact", err)
 
 
-def _delta_of_eps(eps: float, cfg: PrecisionConfig) -> float:
-    if eps == -1.0:
-        return 1.0
-    if eps == 0.0:
-        return delta_critical()
-    tr = critical_sums(1.0 / eps, "auto", cfg)
-    return tr.h.value / tr.g.value
-
-
-def _solve_eps(delta: float, cfg: PrecisionConfig, hint: float | None = None) -> float:
+def _solve_eps(delta: float, cfg: PrecisionConfig) -> float:
     """Solve delta(eps) = delta for eps in [-1, inf), where the map is
     strictly increasing."""
     dc = delta_critical()
-    fun = lambda e: _delta_of_eps(e, cfg) - delta
+    fun = lambda e: theta_point(1.0 / e, cfg).delta - delta
     if delta < dc:
         lo, hi = -1.0 + 1e-15, -1e-15
-        if hint is not None and -1.0 < hint < 0.0:
-            # tighten around the hint when it already brackets
-            a, b = max(lo, hint / 1.5 if hint > -0.5 else (hint - 1e-3)), hi
-            if fun(a) < 0.0:
-                lo = a
     else:
         # large-eps behaviour delta ~ eps/log(eps): bootstrap a bracket
-        guess = hint if hint and hint > 0.0 else delta * max(math.log(delta) + 2.0, 2.0)
+        guess = delta * max(math.log(delta) + 2.0, 2.0)
         lo, hi = guess, guess
         for _ in range(200):
             if fun(lo) <= 0.0:
@@ -163,7 +152,7 @@ def _solve_eps(delta: float, cfg: PrecisionConfig, hint: float | None = None) ->
         if lo == hi:
             return lo
     eps = brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    achieved = _delta_of_eps(eps, cfg)
+    achieved = theta_point(1.0 / eps, cfg).delta
     if abs(achieved - delta) > cfg.root_tol * max(delta, 1.0) + 1e-11 * delta:
         raise TorsobError(
             f"mu_of_delta: root residual {abs(achieved - delta):.3e} exceeds "
@@ -351,41 +340,39 @@ def _loglog_objective(delta: float, theta: float) -> float:
 
 
 def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
-    """Maximize 4 pi Theta(delta) - log delta - log(1 + log delta) over
-    delta >= 1 (coarse grid on [1, 100], then golden-section refinement).
+    """Maximize 4 pi Theta - log delta - log(1 + log delta) along the
+    parametric curve, in x with eps = 1/mu = sinh(x): one monotone
+    coordinate over both branches, where delta and Theta come from the same
+    lattice sums and no point needs a root solve.  A 1000-point scan from
+    x = asinh(-1) (the closed-form endpoint delta = 1) to asinh(700) (delta
+    about 110; no point falls on eps = 0) is golden-polished in x to a
+    bracket of ``cfg.maximizer_tol``; mu_star is the argmax itself.
 
     The tail delta > 100 is excluded after checking programmatically that
     the objective there stays clearly below the interior maximum, as the
     double-log expansion predicts.
     """
     samples: list[ThetaSample] = []
-    eps_hint: float | None = None
 
-    def eval_at(delta: float) -> float:
-        nonlocal eps_hint
-        if delta <= 1.0:
-            sample = ThetaSample(-1.0, 1.0, FOUR_MODE_THETA, "exact")
-        else:
-            eps = _solve_eps(delta, cfg, hint=eps_hint)
-            eps_hint = eps
-            mu = 1.0 / eps
-            sample = theta_point(mu, cfg)
+    def objective(x: float) -> float:
+        # sinh(asinh(-1)) == -1.0 exactly, which theta_point takes as mu = -1
+        sample = theta_point(1.0 / math.sinh(x), cfg)
         samples.append(sample)
-        return _loglog_objective(max(delta, 1.0), sample.theta)
+        return _loglog_objective(sample.delta, sample.theta)
 
-    grid = np.linspace(1.0, 100.0, 1000)
-    values = np.array([eval_at(d) for d in grid])
-    i = int(np.argmax(values))
-    if i == 0 or i == len(grid) - 1:
+    xs = np.linspace(math.asinh(-1.0), math.asinh(700.0), 1000)
+    values = np.array([objective(float(x)) for x in xs])
+    x_star, _ = grid_max(objective, xs, values, xtol=cfg.maximizer_tol)
+    if x_star in (xs[0], xs[-1]):
         raise TorsobError("find_L: maximum not interior to the search grid")
-    lo, hi = grid[i - 1], grid[i + 1]
-    delta_star, _ = golden_max(eval_at, float(lo), float(hi), xtol=cfg.maximizer_tol)
-    L = eval_at(delta_star)
-    mu_star = 1.0 / _solve_eps(delta_star, cfg, hint=eps_hint)
+    mu_star = 1.0 / math.sinh(x_star)
+    star = theta_point(mu_star, cfg)
+    L = _loglog_objective(star.delta, star.theta)
 
-    # programmatic tail exclusion: beyond the grid the objective has
-    # dropped and keeps decaying like log log delta / log delta
-    tail_vals = [eval_at(d) for d in (150.0, 400.0, 1000.0)]
+    # programmatic tail exclusion: past the scan (delta about 149, 383 and
+    # 1107) the objective has dropped and keeps decaying like
+    # log log delta / log delta
+    tail_vals = [objective(math.asinh(e)) for e in (1e3, 3e3, 1e4)]
     if not all(v < L - 0.05 for v in tail_vals):
         raise TorsobError("find_L: tail values do not stay below the maximum")
     if not (tail_vals[0] > tail_vals[1] > tail_vals[2]):
@@ -393,7 +380,7 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
 
     return LConstantReport(
         L=L,
-        delta_star=delta_star,
+        delta_star=star.delta,
         mu_star=mu_star,
         lower_bound=loglog_lower_constant(),
         samples=tuple(samples),

@@ -151,7 +151,8 @@ def _shells(d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     k_d = k is added to the table of one dimension less, origin included:
     the points (k', +-k) with |k'|^2 <= radius^2 - k^2 land on the squared
     norms k^2 + q' with count (1 if k = 0 else 2) * c'.  The counts are
-    integers, so every order of accumulation gives the same table."""
+    accumulated as int32 and converted to float64 once, so every order of
+    accumulation gives the same table."""
     radius = int(radius)
     cached = _SHELL_CACHE.get(d)
     if cached is not None and cached[0] >= radius:
@@ -170,19 +171,19 @@ def _shells(d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
             )
         r2 = radius * radius
         q_prev = np.arange(radius + 1, dtype=np.int64) ** 2  # d = 1 with origin
-        c_prev = np.full(radius + 1, 2.0)
-        c_prev[0] = 1.0
+        c_prev = np.full(radius + 1, 2, dtype=np.int32)
+        c_prev[0] = 1
         for _ in range(d - 1):
-            counts = np.zeros(r2 + 1, dtype=np.float64)
+            counts = np.zeros(r2 + 1, dtype=np.int32)
             for k in range(radius + 1):
                 # q_prev is sorted and distinct, so these indices are too
                 n = np.searchsorted(q_prev, r2 - k * k, side="right")
-                counts[k * k + q_prev[:n]] += (2.0 if k else 1.0) * c_prev[:n]
+                counts[k * k + q_prev[:n]] += (2 if k else 1) * c_prev[:n]
             q_prev = np.nonzero(counts)[0]
             c_prev = counts[q_prev]
             del counts
         q = q_prev[1:].astype(np.float64)  # entry 0 is the origin
-        c = c_prev[1:]
+        c = c_prev[1:].astype(np.float64)
     _SHELL_CACHE[d] = (radius, q, c)
     return q, c
 

@@ -13,7 +13,7 @@ import pytest
 
 from torsob import algebraic as al
 from torsob.errors import DomainError, TorsobError
-from torsob.lattice import CaseDN
+from torsob.lattice import CaseDN, PrecisionConfig
 from torsob.specfun import zeta_dirichlet
 
 
@@ -61,6 +61,16 @@ def test_theta_dn_frozen_22():
     tp = al.theta_dn(CaseDN(2, 2), 2.0)
     assert abs(tp.theta - 0.28781210454064665) < 1e-11
     assert abs(tp.mu - 1.2951199909388673) < 1e-9
+
+
+@pytest.mark.parametrize("dn,delta", [((2, 2), 10.0), ((1, 3), 2.0), ((3, 2), 30.0)])
+def test_theta_dn_error_bound_covers_a_tighter_sum(dn, delta):
+    c = CaseDN(*dn)
+    assert al.theta_dn(c, 1.0).abs_error_bound == 0.0  # closed form
+    tp = al.theta_dn(c, delta)
+    _, tight = al._delta_theta(c, tp.mu, PrecisionConfig(target_abs_tol=1e-14))
+    assert 0.0 < tp.abs_error_bound < 1e-10
+    assert abs(tight - tp.theta) <= tp.abs_error_bound
 
 
 def test_theta_dn_round_trip_and_monotone():
@@ -165,6 +175,16 @@ def test_positive_crossings_23_sign_pattern():
     assert al.shifted_deviation(c, 1.5) < 0.0
     assert al.shifted_deviation(c, 5.0) > 0.0
     assert al.shifted_deviation(c, 50.0) < 0.0
+
+
+@pytest.mark.parametrize("dn", [(2, 3), (1, 3)])
+def test_positive_crossings_ends_are_roots(dn):
+    # each end is delta at a root solved on the curve parameter, so the
+    # shifted deviation there (re-solved through theta_dn) is zero to
+    # rounding
+    c = CaseDN(*dn)
+    for end in al.positive_crossings(c):
+        assert abs(al.shifted_deviation(c, end)) <= 1e-13
 
 
 def test_positive_crossings_13():

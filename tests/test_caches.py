@@ -84,3 +84,17 @@ def test_reset_torsob_empties_every_cache():
     assert after["dicts"] == at_import["dicts"]
     assert sorted(after["lru"]) == sorted(at_import["lru"])
     assert not any(_lru_sizes(after["lru"]).values())
+
+
+def test_benchmark_wraps_names_that_exist():
+    # perfbench/spans.py wraps layer functions by (module, name) and counts
+    # the calls of is_representable and golden_min, and the cli workload
+    # calls curve._invert_model: a rename in torsob must fail here rather
+    # than break a benchmark run
+    from spans import CLI_LAYERS, LAYERS
+
+    wrapped = [(mod, name) for mod, name, _ in LAYERS + CLI_LAYERS]
+    wrapped += [("lattice", "is_representable"), ("_optim", "golden_min"),
+                ("curve", "_invert_model")]
+    for mod, name in wrapped:
+        assert callable(getattr(import_module("torsob." + mod), name, None)), (mod, name)

@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsob import curve
 from torsob._optim import golden_max
 from torsob.curve import (
     FOUR_MODE_THETA,
@@ -248,6 +249,34 @@ def test_mu_star_is_local_max_of_defect():
     assert f0 > defect(MU_STAR * 1.05)
     assert f0 > defect(MU_STAR / 1.05)
     assert abs(4.0 * math.pi * f0 - 2.1562255281542130) < 1e-9
+
+
+def test_find_L_reports_its_own_curve_sample():
+    rep = find_L()
+    star = theta_point(rep.mu_star)
+    assert rep.delta_star == star.delta
+    assert rep.L == 4.0 * math.pi * star.theta - (
+        math.log(star.delta) + math.log1p(math.log(star.delta))
+    )
+
+
+def test_find_L_needs_no_root_solve(monkeypatch):
+    calls = []
+    real = curve.critical_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("find_L inverted delta -> mu")
+
+    monkeypatch.setattr(curve, "critical_sums", counted)
+    monkeypatch.setattr(curve, "_solve_eps", no_solve)
+    find_L()
+    # a fifth of the 11603 calls the search made on a delta grid, where
+    # every point took a root solve of about ten sums
+    assert len(calls) < 2320
 
 
 def test_find_L_matches_closed_form_models():

@@ -18,12 +18,13 @@ import textwrap
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import zeta as scipy_zeta
 
 from torsob import cli, curve
-from torsob._optim import brentq
+from torsob._optim import brentq, grid_max
 from torsob.errors import DomainError, ToleranceUnreachableError
 from torsob.specfun import _hurwitz_zeta, _riemann_zeta, zeta_dirichlet
 
@@ -127,6 +128,36 @@ def test_failed_root_solve_maps_to_cli_domain_error(monkeypatch, capsys):
     assert code == 2
     assert err.startswith("torsob: domain-error: brentq: f(a) and f(b) must have")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- grid_max
+
+
+def _two_peaks(x: float) -> float:
+    return math.exp(-10.0 * (x - 1.0) ** 2) + 2.0 * math.exp(-10.0 * (x - 3.0) ** 2)
+
+
+def test_grid_max_polishes_the_higher_peak():
+    xs = np.linspace(0.0, 4.0, 40)  # 3.0 falls between two points
+    vals = np.array([_two_peaks(x) for x in xs])
+    x, v = grid_max(_two_peaks, xs, vals, xtol=1e-9)
+    assert abs(x - 3.0) < 1e-6
+    assert v == _two_peaks(x)
+    assert v > vals.max()  # the grid misses the peak; the polish finds it
+
+
+def test_grid_max_takes_a_higher_edge():
+    def rising(x: float) -> float:
+        return _two_peaks(x) + 3.0 * math.exp(-10.0 * (x - 4.5) ** 2)
+
+    xs = np.linspace(0.0, 4.5, 46)
+    vals = np.array([rising(x) for x in xs])
+    assert (float(xs[-1]), float(vals[-1])) == grid_max(rising, xs, vals, xtol=1e-9)
+    # mirrored, the left edge wins the same way
+    left, left_vals = -xs[::-1], vals[::-1]
+    assert (float(left[0]), float(left_vals[0])) == grid_max(
+        lambda x: rising(-x), left, left_vals, xtol=1e-9
+    )
 
 
 # -------------------------------------------------------------------- zeta
