@@ -20,13 +20,14 @@ as delta -> inf, where F creeps up to -2n/((2pi)^d (2n-d)) from below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._optim import brentq, grid_max
-from .curve import ThetaSample
+from .curve import ThetaSample, _theta_sample
 from .errors import DomainError, ToleranceUnreachableError, TorsobError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -101,12 +102,9 @@ def delta_plateau(case: CaseDN) -> float:
     return _lattice_moment(case.d, case.n) / _lattice_moment(case.d, 2 * case.n)
 
 
-def _delta_theta(case: CaseDN, mu: float, cfg: PrecisionConfig) -> tuple[float, float]:
-    tr = general_sums(case, mu, cfg)
-    d = case.d
-    delta = tr.h.value / tr.g.value
-    theta = tr.f.value * tr.f.value / ((2.0 * math.pi) ** d * tr.g.value)
-    return delta, theta
+def _sample_at(case: CaseDN, lm: float, cfg: PrecisionConfig) -> ThetaSample:
+    """The exact curve sample at log mu = lm."""
+    return _theta_sample(general_sums(case, math.exp(lm), cfg), case.d)
 
 
 def theta_dn(
@@ -131,8 +129,10 @@ def theta_dn(
             f"plateau {plateau:.12g}; the resonant branch is not implemented"
         )
 
+    at = functools.cache(lambda lm: _sample_at(case, lm, cfg))
+
     def fun(lm: float) -> float:
-        return _delta_theta(case, math.exp(lm), cfg)[0] - delta
+        return at(lm).delta - delta
 
     lo = hi = 0.0
     for _ in range(200):
@@ -147,18 +147,13 @@ def theta_dn(
         hi += 2.0
     else:
         raise TorsobError("theta_dn: no bracket on the large-mu side")
-    lm = brentq(fun, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300)
-    mu = math.exp(lm)
-    tr = general_sums(case, mu, cfg)
-    f, g, scale = tr.f.value, tr.g.value, (2.0 * math.pi) ** case.d
-    dd, th = tr.h.value / g, f * f / (scale * g)
-    if abs(dd - delta) > cfg.root_tol * max(delta, 1.0) + 1e-10 * delta:
+    root = at(brentq(fun, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
+    if abs(root.delta - delta) > cfg.root_tol * max(delta, 1.0) + 1e-10 * delta:
         raise TorsobError(
-            f"theta_dn: root residual {abs(dd - delta):.3e} too large at "
+            f"theta_dn: root residual {abs(root.delta - delta):.3e} too large at "
             f"delta={delta!r}"
         )
-    err = 2.0 * abs(f) * tr.f.abs_error_bound / (scale * g) + th * tr.g.abs_error_bound / g
-    return ThetaSample(mu, dd, th, "exact", err)
+    return root
 
 
 def expansion_dn(case: CaseDN, delta: float) -> float:
@@ -217,9 +212,11 @@ def positive_crossings(
     c = leading_constant(case)
     p = d / (2.0 * n)
 
+    at = functools.cache(lambda lm: _sample_at(case, lm, cfg))
+
     def shifted_at(lm: float) -> float:
-        dd, th = _delta_theta(case, math.exp(lm), cfg)
-        return th - c * dd**p + U
+        sample = at(lm)
+        return sample.theta - c * sample.delta**p + U
 
     lms = -2.0 * n * np.log(np.linspace(0.35, 6.0, 500))
     pos = np.array([shifted_at(lm) for lm in lms]) > 0.0
@@ -234,8 +231,7 @@ def positive_crossings(
     i1 = i0 + int(after[0]) - 1
 
     def end(a: float, b: float) -> float:
-        lm = brentq(shifted_at, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300)
-        return _delta_theta(case, math.exp(lm), cfg)[0]
+        return at(brentq(shifted_at, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300)).delta
 
     return end(lms[i0 - 1], lms[i0]), end(lms[i1 + 1], lms[i1])
 
@@ -282,19 +278,16 @@ def _tail_samples(
     for frac in (1.0, 0.94, 0.89):
         mu = (z_hi * frac) ** (-2.0 * n)
         tr = general_sums(case, mu, cfg)
-        fv, gv, hv = tr.f.value, tr.g.value, tr.h.value
-        rf = tr.f.abs_error_bound / abs(fv)
-        rg = tr.g.abs_error_bound / abs(gv)
-        rh = tr.h.abs_error_bound / abs(hv)
-        dd = hv / gv
-        th = fv * fv / ((2.0 * math.pi) ** d * gv)
+        sample = _theta_sample(tr, d)
+        dd = sample.delta
         third = (c * dd**p - U) - expansion_dn(case, dd)
-        # evaluation error: theta directly, plus the expansion's sensitivity
-        # to the delta coordinate's own error
-        dd_err = dd * (rh + rg) * 1.05
+        # evaluation error: theta's propagated bound, plus the expansion's
+        # sensitivity to the delta coordinate's own error
+        rel = tr.h.abs_error_bound / abs(tr.h.value) + tr.g.abs_error_bound / abs(tr.g.value)
+        dd_err = dd * rel * 1.05
         slope = c * p * dd ** (p - 1.0) + (1.0 + p) * abs(third) / dd
-        eval_err = th * (2.0 * rf + rg) * 1.05 + slope * dd_err
-        err = abs(th - expansion_dn(case, dd)) + eval_err
+        eval_err = sample.abs_error_bound * 1.05 + slope * dd_err
+        err = abs(sample.theta - expansion_dn(case, dd)) + eval_err
         if err > 0.5 * third + 1e-10:
             strong = False
         R = max(R, err)
@@ -322,9 +315,11 @@ def remainder_constant(
     # point budget of the d-dimensional shell enumeration.
     z_cap = {1: 700.0, 2: 700.0, 3: 20.0}[d]
 
+    # no memo here: it would hold every scan sample (about 2 MB for (2,10))
+    # to save the one sum that delta_star repeats
     def F_of_logmu(lm: float) -> float:
-        dd, th = _delta_theta(case, math.exp(lm), cfg)
-        return th - c * dd**p
+        sample = _sample_at(case, lm, cfg)
+        return sample.theta - c * sample.delta**p
 
     # uniform z density; the shell-by-shell transient has period O(1) in z
     dz = (z_hi - z_lo) / max(1500, int(200.0 * 2.0 * n * math.log10(z_hi / z_lo)))
@@ -376,7 +371,7 @@ def remainder_constant(
     if endpoint_wins:
         K, delta_star = -f_at_one, 1.0
     else:
-        delta_star = _delta_theta(case, math.exp(best_lm), cfg)[0]
+        delta_star = _sample_at(case, best_lm, cfg).delta
         K = -best_val
     if abs(K) < _SIGN_TOL:
         sign = "zero-within-tol"

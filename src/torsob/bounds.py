@@ -28,6 +28,7 @@ from .lattice import (
     DEFAULT_CONFIG,
     PrecisionConfig,
     TailDescriptor,
+    _partial_sums_at,
     _shells,
     _z2_moment,
     critical_sums,
@@ -131,31 +132,6 @@ def alpha_constant() -> float:
 
 _EXACT_ENUM_LIMIT = 1e5  # N*^2 below this: enumerate every representable radius
 _POINT_CAP = 4e9  # squared-radius cap for the candidate sweep
-
-
-def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S2(m) = sum over 0 < |k|^2 <= m of |k|^-2 (and S4 with |k|^-4) for an
-    ascending array of squared radii, in one row pass over the lattice."""
-    m_max = int(m_list[-1])
-    kmax = math.isqrt(m_max)
-    S2 = np.zeros(len(m_list))
-    S4 = np.zeros(len(m_list))
-    for k1 in range(0, kmax + 1):
-        rem = m_max - k1 * k1
-        if rem < 0:
-            break
-        k2 = np.arange(0 if k1 > 0 else 1, math.isqrt(rem) + 1, dtype=np.float64)
-        if len(k2) == 0:
-            continue
-        q = k1 * k1 + k2 * k2
-        w = np.where(k2 > 0.0, 2.0, 1.0) * (2.0 if k1 > 0 else 1.0)
-        c2 = np.cumsum(w / q)
-        c4 = np.cumsum(w / (q * q))
-        idx = np.searchsorted(q, m_list + 0.5)
-        good = idx > 0
-        S2[good] += c2[idx[good] - 1]
-        S4[good] += c4[idx[good] - 1]
-    return S2, S4
 
 
 def _prev_representable(m: int) -> int:

@@ -43,14 +43,7 @@ from .algebraic import (
     shifted_deviation,
 )
 from .bounds import alpha_constant, first_method_bound, mode_splitting_bound
-from .curve import (
-    _invert_model,
-    find_L,
-    loglog_lower_constant,
-    mu_of_delta,
-    theta_model,
-    theta_point,
-)
+from .curve import _model_sample, find_L, loglog_lower_constant, theta_model
 from .errors import InputFormatError, TorsobError
 from .field import FourierInput, extremal_field, verify_inequality
 from .largen import limit_1d, limit_2d, scaled_deviation
@@ -138,11 +131,16 @@ def _load_config(args) -> PrecisionConfig:
                 if caster is None:
                     raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    values[key] = caster(float(val)) if caster is int else float(val)
+                    num = float(val)
                 except ValueError as exc:
                     raise InputFormatError(
                         f"{path}:{lineno}: unparsable value for {key!r}"
                     ) from exc
+                if caster is int and not num.is_integer():  # inf and nan too
+                    raise InputFormatError(
+                        f"{path}:{lineno}: {key!r} must be an integer, got {val!r}"
+                    )
+                values[key] = int(num) if caster is int else num
     if getattr(args, "tol", None) is not None:
         values["target_abs_tol"] = args.tol
     if getattr(args, "max_radius", None) is not None:
@@ -262,14 +260,12 @@ def cmd_theta(args) -> int:
     rows = []
     for d in parse_grid(args.delta_grid):
         d = float(d)
-        if model == "exact":
-            s = theta_point(mu_of_delta(d, cfg), cfg)
-            rows.append((d, s.theta, s.mu, s.abs_error_bound))
-        elif model == "loglog_asymptotic":
+        if model == "loglog_asymptotic":
+            # no curve parameter, and negative near delta = 1
             rows.append((d, theta_model(model, d, cfg), math.nan, 0.0))
         else:
-            theta = theta_model(model, d, cfg)
-            rows.append((d, theta, math.exp(_invert_model(model, d)), 0.0))
+            s = _model_sample(model, d, cfg)
+            rows.append((d, s.theta, s.mu, s.abs_error_bound))
     text = _csv_table(
         "theta",
         _core_sha(core),

@@ -17,6 +17,7 @@ constant L of the double-log upper bound together with its maximizer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .errors import DomainError, TorsobError
 from .lattice import (
     DEFAULT_CONFIG,
     PrecisionConfig,
+    SumTriple,
     _z2_moment,
     beta_constant,
     critical_sums,
@@ -85,7 +87,6 @@ class LConstantReport:
     delta_star: float
     mu_star: float
     lower_bound: float
-    samples: tuple[ThetaSample, ...]
 
     def __post_init__(self) -> None:
         if not (self.L > self.lower_bound):
@@ -110,6 +111,17 @@ def loglog_lower_constant() -> float:
 # ---------------------------------------------------------------------------
 
 
+def _theta_sample(tr: SumTriple, d: int) -> ThetaSample:
+    """The exact sample of a d-dimensional sharp curve at the parameter of
+    the lattice sums tr: Theta = f^2/((2 pi)^d g) and delta = h/g, with the
+    Theta bound propagated from the bounds of f and g."""
+    f, g = tr.f.value, tr.g.value
+    scale = _TWO_PI**d
+    theta = f * f / (scale * g)
+    err = 2.0 * abs(f) * tr.f.abs_error_bound / (scale * g) + theta * tr.g.abs_error_bound / g
+    return ThetaSample(tr.mu, tr.h.value / g, theta, "exact", err)
+
+
 def theta_point(mu: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThetaSample:
     """Exact curve sample at screening parameter mu.
 
@@ -119,18 +131,16 @@ def theta_point(mu: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThetaSample
     """
     if mu == -1.0:
         return ThetaSample(-1.0, 1.0, FOUR_MODE_THETA, "exact", 0.0)
-    tr = critical_sums(mu, "auto", cfg)
-    f, g = tr.f.value, tr.g.value
-    theta = f * f / (_FOUR_PI_SQ * g)
-    err = 2.0 * abs(f) * tr.f.abs_error_bound / (_FOUR_PI_SQ * g) + theta * tr.g.abs_error_bound / g
-    return ThetaSample(mu, tr.h.value / g, theta, "exact", err)
+    return _theta_sample(critical_sums(mu, "auto", cfg), 2)
 
 
-def _solve_eps(delta: float, cfg: PrecisionConfig) -> float:
+def _solve_eps(delta: float, cfg: PrecisionConfig) -> ThetaSample:
     """Solve delta(eps) = delta for eps in [-1, inf), where the map is
-    strictly increasing."""
+    strictly increasing, and return the curve sample at the root.  Each
+    eps is summed once."""
     dc = delta_critical()
-    fun = lambda e: theta_point(1.0 / e, cfg).delta - delta
+    at = functools.cache(lambda e: theta_point(1.0 / e, cfg))
+    fun = lambda e: at(e).delta - delta
     if delta < dc:
         lo, hi = -1.0 + 1e-15, -1e-15
     else:
@@ -150,15 +160,14 @@ def _solve_eps(delta: float, cfg: PrecisionConfig) -> float:
         else:
             raise TorsobError(f"mu_of_delta: no upper bracket for delta={delta!r}")
         if lo == hi:
-            return lo
-    eps = brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    achieved = theta_point(1.0 / eps, cfg).delta
-    if abs(achieved - delta) > cfg.root_tol * max(delta, 1.0) + 1e-11 * delta:
+            return at(lo)
+    root = at(brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+    if abs(root.delta - delta) > cfg.root_tol * max(delta, 1.0) + 1e-11 * delta:
         raise TorsobError(
-            f"mu_of_delta: root residual {abs(achieved - delta):.3e} exceeds "
+            f"mu_of_delta: root residual {abs(root.delta - delta):.3e} exceeds "
             f"tolerance at delta={delta!r}"
         )
-    return eps
+    return root
 
 
 def mu_of_delta(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -169,10 +178,7 @@ def mu_of_delta(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """
     if not (delta >= 1.0):
         raise DomainError(f"mu_of_delta: need delta >= 1, got {delta!r}")
-    if delta == 1.0:
-        return -1.0
-    eps = _solve_eps(delta, cfg)
-    return 1.0 / eps
+    return _model_sample("exact", delta, cfg).mu
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +269,18 @@ def _invert_model(tag: str, delta: float) -> float:
     )
 
 
+def _model_sample(model: str, delta: float, cfg: PrecisionConfig) -> ThetaSample:
+    """The sample at which the exact curve or a closed-form model reaches
+    delta >= 1: the root of its own solve, or the endpoint mu = -1."""
+    if not (delta >= 1.0):
+        raise DomainError(f"theta_model: need delta >= 1, got {delta!r}")
+    if model == "exact":
+        return theta_point(-1.0) if delta == 1.0 else _solve_eps(delta, cfg)
+    mu = math.exp(_invert_model(model, delta))
+    dd, theta = _model_pair(model)(mu)
+    return ThetaSample(mu, dd, theta, model, 0.0)
+
+
 def theta_model(
     model: str, delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> float:
@@ -285,14 +303,7 @@ def theta_model(
         ld = math.log(delta)
         lld = math.log(ld)
         return (ld + lld + loglog_lower_constant() + lld / ld) / (4.0 * math.pi)
-    if not (delta >= 1.0):
-        raise DomainError(f"theta_model: need delta >= 1, got {delta!r}")
-    if model == "exact":
-        if delta == 1.0:
-            return FOUR_MODE_THETA
-        return theta_point(mu_of_delta(delta, cfg), cfg).theta
-    lm = _invert_model(model, delta)
-    return _model_pair(model)(math.exp(lm))[1]
+    return _model_sample(model, delta, cfg).theta
 
 
 def tangent_condition(mu: float) -> float:
@@ -335,8 +346,8 @@ def gap(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _loglog_objective(delta: float, theta: float) -> float:
-    return 4.0 * math.pi * theta - (math.log(delta) + math.log1p(math.log(delta)))
+def _loglog_objective(s: ThetaSample) -> float:
+    return 4.0 * math.pi * s.theta - (math.log(s.delta) + math.log1p(math.log(s.delta)))
 
 
 def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
@@ -352,22 +363,17 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
     the objective there stays clearly below the interior maximum, as the
     double-log expansion predicts.
     """
-    samples: list[ThetaSample] = []
-
-    def objective(x: float) -> float:
-        # sinh(asinh(-1)) == -1.0 exactly, which theta_point takes as mu = -1
-        sample = theta_point(1.0 / math.sinh(x), cfg)
-        samples.append(sample)
-        return _loglog_objective(sample.delta, sample.theta)
+    # sinh(asinh(-1)) == -1.0 exactly, which theta_point takes as mu = -1
+    at = functools.cache(lambda x: theta_point(1.0 / math.sinh(x), cfg))
+    objective = lambda x: _loglog_objective(at(x))
 
     xs = np.linspace(math.asinh(-1.0), math.asinh(700.0), 1000)
     values = np.array([objective(float(x)) for x in xs])
     x_star, _ = grid_max(objective, xs, values, xtol=cfg.maximizer_tol)
     if x_star in (xs[0], xs[-1]):
         raise TorsobError("find_L: maximum not interior to the search grid")
-    mu_star = 1.0 / math.sinh(x_star)
-    star = theta_point(mu_star, cfg)
-    L = _loglog_objective(star.delta, star.theta)
+    star = at(x_star)
+    L = _loglog_objective(star)
 
     # programmatic tail exclusion: past the scan (delta about 149, 383 and
     # 1107) the objective has dropped and keeps decaying like
@@ -381,7 +387,6 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
     return LConstantReport(
         L=L,
         delta_star=star.delta,
-        mu_star=mu_star,
+        mu_star=star.mu,
         lower_bound=loglog_lower_constant(),
-        samples=tuple(samples),
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebraic import leading_constant, remainder_constant
 from .curve import find_L, theta_model
-from .errors import DomainError, ToleranceUnreachableError
+from .errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 _MIN_RESOLUTION = 32
+#: the largest grid FourierInput.synthesize builds: a 2048^2 complex grid and
+#: its inverse FFT take about 200 MiB, near the 216 MiB peak of the largest
+#: shell table, _shells(2, 6000)
+_MAX_SYNTH_RESOLUTION = 2048
 
 
 @dataclass(frozen=True)
@@ -401,6 +405,11 @@ class FourierInput:
             raise DomainError(
                 f"FourierInput: resolution {resolution} cannot resolve modes "
                 f"up to {kmax}"
+            )
+        if resolution > _MAX_SYNTH_RESOLUTION:
+            raise ResourceLimitError(
+                f"FourierInput: modes up to {kmax} need a {resolution}^2 grid, "
+                f"beyond the cap {_MAX_SYNTH_RESOLUTION}"
             )
         inv_2pi = 1.0 / (2.0 * math.pi)
         # e^{i k.x_i} = (-1)^k e^{2 pi i k i/res}: one DFT bin per mode, and

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .algebraic import leading_constant
+from .curve import _theta_sample
 from .errors import DomainError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -94,10 +95,9 @@ def scaled_deviation(
         )
     case = CaseDN(d, n)
     tr = general_sums(case, math.exp(log_mu), cfg)
-    theta = tr.f.value * tr.f.value / ((2.0 * math.pi) ** d * tr.g.value)
     p = d / (2.0 * n)
     delta_pow = math.exp(p * (math.log(tr.h.value) - math.log(tr.g.value)))
-    return theta - leading_constant(case) * delta_pow
+    return _theta_sample(tr, d).theta - leading_constant(case) * delta_pow
 
 
 def limit_1d(z: float) -> tuple[float, float, float]:

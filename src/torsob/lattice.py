@@ -722,12 +722,15 @@ def general_sums(
         )
     while True:
         q, c = _shells(d, T)
-        with np.errstate(over="ignore"):
-            x = mu * q**n  # overflow -> inf -> term underflows to 0, correctly
-        t = 1.0 / (1.0 + x)
+        # overflow -> inf -> term underflows to 0, correctly.  f - g sums
+        # t (1 - t) without cancellation: 1 - t = 1/(1 + 1/x) keeps every
+        # digit of x/(1 + x) even where x << 1 and 1 - t would round to 0
+        with np.errstate(over="ignore", divide="ignore"):
+            x = mu * q**n
+            t = 1.0 / (1.0 + x)
+            fg = float(np.dot(c, t / (1.0 + 1.0 / x)))
         f = float(np.dot(c, t))
         g = float(np.dot(c, t * t))
-        fg = float(np.dot(c, t * (1.0 - t)))  # f - g without cancellation
 
         # tail: 1/(1+x) = sum_m (-1)^{m+1} x^{-m};  1/(1+x)^2 similarly with
         # coefficients (m-1); their difference has coefficients m.  On the
@@ -873,35 +876,42 @@ def beta_constant() -> SpecialValue:
     return SpecialValue(v, 5e-14)
 
 
+def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S2(m) = sum over 0 < |k|^2 <= m of |k|^-2 (and S4 with |k|^-4) for an
+    ascending array of squared radii, in one row pass over the lattice."""
+    m_max = int(m_list[-1])
+    kmax = math.isqrt(m_max)
+    S2 = np.zeros(len(m_list))
+    S4 = np.zeros(len(m_list))
+    # quadrant weights: (k1, k2) with k1, k2 >= 0 stands for the sign
+    # orbit of size (2 if k1 > 0 else 1) * (2 if k2 > 0 else 1)
+    for k1 in range(0, kmax + 1):
+        rem = m_max - k1 * k1
+        if rem < 0:
+            break
+        k2 = np.arange(0 if k1 > 0 else 1, math.isqrt(rem) + 1, dtype=np.float64)
+        if len(k2) == 0:
+            continue
+        q = k1 * k1 + k2 * k2
+        w = np.where(k2 > 0.0, 2.0, 1.0) * (2.0 if k1 > 0 else 1.0)
+        c2 = np.cumsum(w / q)
+        c4 = np.cumsum(w / (q * q))
+        idx = np.searchsorted(q, m_list + 0.5)
+        good = idx > 0
+        S2[good] += c2[idx[good] - 1]
+        S4[good] += c4[idx[good] - 1]
+    return S2, S4
+
+
 def partial_inverse_square_sum(N: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Exact floating sum of 1/|k|^2 over lattice points 0 < |k| <= N."""
+    """Sum of 1/|k|^2 over lattice points 0 < |k| <= N."""
     if not (N >= 1.0):
         raise DomainError(f"partial_inverse_square_sum: need N >= 1, got {N!r}")
     if N > 30000:
         raise ResourceLimitError(
             f"partial_inverse_square_sum: N={N:g} exceeds the point budget"
         )
-    # quadrant weights: (k1, k2) with k1, k2 >= 0 stands for the sign
-    # orbit of size (2 if k1 > 0 else 1) * (2 if k2 > 0 else 1).
-    n2 = N * N
-    kmax = int(math.floor(N))
-    parts = []
-    for k1 in range(0, kmax + 1):
-        rem = n2 - k1 * k1
-        if rem < 0:
-            break
-        k2max = math.isqrt(int(rem))
-        while (k2max + 1) * (k2max + 1) <= rem:
-            k2max += 1
-        while k2max * k2max > rem:
-            k2max -= 1
-        k2 = np.arange(0 if k1 > 0 else 1, k2max + 1, dtype=np.float64)
-        if len(k2) == 0:
-            continue
-        qq = k1 * k1 + k2 * k2
-        w = np.where(k2 > 0.0, 2.0, 1.0) * (2.0 if k1 > 0 else 1.0)
-        parts.append(float(np.dot(w, 1.0 / qq)))
-    return math.fsum(parts)
+    return float(_partial_sums_at(np.array([float(math.floor(N * N))]))[0][0])
 
 
 # ---------------------------------------------------------------------------

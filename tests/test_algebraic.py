@@ -13,7 +13,8 @@ import pytest
 
 from torsob import algebraic as al
 from torsob.errors import DomainError, TorsobError
-from torsob.lattice import CaseDN, PrecisionConfig
+from torsob.curve import _theta_sample
+from torsob.lattice import CaseDN, PrecisionConfig, general_sums
 from torsob.specfun import zeta_dirichlet
 
 
@@ -68,9 +69,24 @@ def test_theta_dn_error_bound_covers_a_tighter_sum(dn, delta):
     c = CaseDN(*dn)
     assert al.theta_dn(c, 1.0).abs_error_bound == 0.0  # closed form
     tp = al.theta_dn(c, delta)
-    _, tight = al._delta_theta(c, tp.mu, PrecisionConfig(target_abs_tol=1e-14))
+    tight = _theta_sample(general_sums(c, tp.mu, PrecisionConfig(target_abs_tol=1e-14)), c.d).theta
     assert 0.0 < tp.abs_error_bound < 1e-10
     assert abs(tight - tp.theta) <= tp.abs_error_bound
+
+
+@pytest.mark.parametrize("dn,delta", [((2, 2), 2.0), ((2, 3), 10.0), ((1, 3), 3.0)])
+def test_theta_dn_sums_each_point_once(dn, delta, monkeypatch):
+    calls = []
+    real = al.general_sums
+
+    def counted(case, mu, *args, **kwargs):
+        calls.append(mu)
+        return real(case, mu, *args, **kwargs)
+
+    monkeypatch.setattr(al, "general_sums", counted)
+    sample = al.theta_dn(CaseDN(*dn), delta)
+    assert calls and len(set(calls)) == len(calls)
+    assert sample.mu in calls  # the root was one of the evaluated points
 
 
 def test_theta_dn_round_trip_and_monotone():

@@ -1,4 +1,5 @@
-"""End-to-end checks of the torsob command line via subprocess.
+"""End-to-end checks of the torsob command line, via subprocess except where
+a test counts calls inside the library.
 
 Exit-code contract: 0 success, 2 domain error, 3 tolerance unreachable,
 with a single `torsob: {kind}: {message}` line on stderr for failures.
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from torsob import cli, curve
 
 #: the checkout's package, put first on the children's import path
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -116,7 +119,7 @@ def test_limit_frozen_values():
     assert row.split(",")[1] == "-0.2562394583779515"
     r2 = run_cli("limit", "--d", "1", "--n", "10", "--z-grid", "1.2:1.2:1")
     row2 = [ln for ln in r2.stdout.splitlines() if ln.startswith("1.2,")][0]
-    assert row2.split(",")[1] == "-0.07150377285904308"
+    assert row2.split(",")[1] == "-0.07150377285904319"
 
 
 def test_limit_integer_z_is_domain_error():
@@ -182,6 +185,57 @@ def test_config_file_and_tol_precedence(tmp_path):
                  "--config", str(bad))
     assert r2.returncode == 2
     assert "unknown config key" in r2.stderr
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["max_radius = inf", "max_radius = 1e400", "max_radius = 3000.5",
+     "max_bessel_terms = nan", "max_bessel_terms = 2.5"],
+)
+def test_config_integer_keys_refuse_non_integers(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    code = cli.main(["theta", "--model", "theta0", "--delta-grid", "2:2:1",
+                     "--config", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("torsob: domain-error:")
+
+
+def test_config_integer_keys_accept_integral_floats(tmp_path):
+    cfg = tmp_path / "prec.cfg"
+    cfg.write_text("max_radius = 3e3\n")
+    base = tmp_path / "out"
+    code = cli.main(["theta", "--model", "theta0", "--delta-grid", "2:2:1",
+                     "--config", str(cfg), "--output", str(base)])
+    assert code == 0
+    man = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert man["config"]["max_radius"] == 3000
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name through every torsob module that
+    binds it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("torsob") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_theta_rows_solve_each_point_once(monkeypatch):
+    inversions = _count_calls(monkeypatch, curve, "_invert_model")
+    assert cli.main(["theta", "--model", "theta0", "--delta-grid", "1:100:12"]) == 0
+    assert len(inversions) == 12  # one per row
+    sums = _count_calls(monkeypatch, curve, "critical_sums")
+    assert cli.main(["theta", "--model", "exact", "--delta-grid", "1:40:10"]) == 0
+    assert len(sums) == 61  # nine root solves; delta = 1 is closed form
+    assert len(set(sums)) == len(sums)
 
 
 def test_domain_error_exit_code():

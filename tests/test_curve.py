@@ -293,3 +293,19 @@ def test_find_L_matches_closed_form_models():
             5.0,
         )
         assert abs(L_model - L) < 1e-6
+
+
+@pytest.mark.parametrize("delta", [2.0, 4.0, 40.0])
+def test_exact_lookup_sums_each_point_once(delta, monkeypatch):
+    calls = []
+    real = curve.critical_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "critical_sums", counted)
+    theta = theta_model("exact", delta)
+    assert calls and len(set(calls)) == len(calls)
+    # the value is the root sample's own, not a fresh sum at its mu
+    assert theta == theta_point(mu_of_delta(delta)).theta

@@ -8,6 +8,7 @@ grad_norm_sq = 4 pi^2 g(mu) and lap_norm_sq = 4 pi^2 h(mu).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import k0 as bessel_k0
 
 from torsob import field
-from torsob.errors import DomainError, ToleranceUnreachableError
+from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from torsob.lattice import CaseDN, PrecisionConfig, _z2_moment, critical_sums
 
 MU_STAR = 0.1221104705136475
@@ -283,6 +284,21 @@ def test_fourier_input_rejections():
         field.FourierInput({})
     with pytest.raises(DomainError):
         cosx().synthesize(resolution=2)
+
+
+def test_synthesis_past_the_grid_cap_raises_before_allocating():
+    # modes at +-(10^5, 0) would ask for a 524288^2 complex grid (4.4 TB)
+    far = field.FourierInput({(100_000, 0): 1.0, (-100_000, 0): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            far.synthesize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    with pytest.raises(ResourceLimitError):
+        cosx().synthesize(resolution=4096)
 
 
 def test_fourier_input_from_file(tmp_path):

@@ -173,6 +173,23 @@ def test_general_sums_identity_property():
         assert abs(s.f.value - s.g.value - mu * s.h.value) < 1e-11 * abs(s.f.value)
 
 
+@pytest.mark.parametrize("d, n, mu", [(1, 100, 1.3**-200), (2, 100, 1.5**-100)])
+def test_general_sums_h_keeps_shells_with_small_x(d, n, mu):
+    # the |k| = 1 shell sits at x = mu |k|^{2n} near 1e-23 and 2e-18, where
+    # 1 - 1/(1 + x) rounds to 0, yet it carries almost all of h; compare with
+    # a 50-digit sum over |k_i| <= 6 (the omitted terms are below 1e-40)
+    import mpmath as mp
+
+    with mp.workdps(50):
+        ks = [mp.mpf(k) ** 2 for k in range(-6, 7)]
+        qs = ks if d == 1 else [a + b for a in ks for b in ks]
+        m = mp.mpf(mu)
+        ref = float(mp.fsum(q**n / (1 + m * q**n) ** 2 for q in qs if q > 0))
+    h = general_sums(CaseDN(d, n), mu).h
+    assert abs(h.value - ref) <= h.abs_error_bound
+    assert abs(h.value - ref) <= 4e-16 * ref
+
+
 def test_general_sums_cap_raises():
     # d = 3 at tiny mu needs an enumeration radius beyond any sane budget
     with pytest.raises(ToleranceUnreachableError):
