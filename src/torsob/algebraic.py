@@ -33,6 +33,7 @@ from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
+    _general_sums_batch,
     _omega,
     _z2_moment,
     _z3_moment,
@@ -59,6 +60,10 @@ __all__ = [
 _SIGN_TOL = 1e-7
 
 _ATT_TOL = 1e-9
+
+#: scan points per batched sum in remainder_constant: each call shares its
+#: tail terms, and only one chunk of samples is held at a time
+_SCAN_CHUNK = 128
 
 
 def leading_constant(case: CaseDN) -> float:
@@ -105,6 +110,12 @@ def delta_plateau(case: CaseDN) -> float:
 def _sample_at(case: CaseDN, lm: float, cfg: PrecisionConfig) -> ThetaSample:
     """The exact curve sample at log mu = lm."""
     return _theta_sample(general_sums(case, math.exp(lm), cfg), case.d)
+
+
+def _samples_at(case: CaseDN, lms, cfg: PrecisionConfig) -> list[ThetaSample]:
+    """The exact curve samples at each log mu of lms, from one batched sum."""
+    sums = _general_sums_batch(case, [math.exp(lm) for lm in lms], cfg)
+    return [_theta_sample(tr, case.d) for tr in sums]
 
 
 def theta_dn(
@@ -212,13 +223,19 @@ def positive_crossings(
     c = leading_constant(case)
     p = d / (2.0 * n)
 
-    at = functools.cache(lambda lm: _sample_at(case, lm, cfg))
+    lms = -2.0 * n * np.log(np.linspace(0.35, 6.0, 500))
+    # the scan is one batched sum; the root solves start from its samples
+    samples = dict(zip(lms.tolist(), _samples_at(case, lms, cfg)))
+
+    def at(lm: float) -> ThetaSample:
+        if lm not in samples:
+            samples[lm] = _sample_at(case, lm, cfg)
+        return samples[lm]
 
     def shifted_at(lm: float) -> float:
         sample = at(lm)
         return sample.theta - c * sample.delta**p + U
 
-    lms = -2.0 * n * np.log(np.linspace(0.35, 6.0, 500))
     pos = np.array([shifted_at(lm) for lm in lms]) > 0.0
     if not pos.any():
         raise DomainError(
@@ -275,9 +292,8 @@ def _tail_samples(
     c = leading_constant(case)
     strong = True
     R = 0.0
-    for frac in (1.0, 0.94, 0.89):
-        mu = (z_hi * frac) ** (-2.0 * n)
-        tr = general_sums(case, mu, cfg)
+    probes = [(z_hi * frac) ** (-2.0 * n) for frac in (1.0, 0.94, 0.89)]
+    for tr in _general_sums_batch(case, probes, cfg):
         sample = _theta_sample(tr, d)
         dd = sample.delta
         third = (c * dd**p - U) - expansion_dn(case, dd)
@@ -317,15 +333,23 @@ def remainder_constant(
 
     # no memo here: it would hold every scan sample (about 2 MB for (2,10))
     # to save the one sum that delta_star repeats
-    def F_of_logmu(lm: float) -> float:
-        sample = _sample_at(case, lm, cfg)
+    def F_of(sample: ThetaSample) -> float:
         return sample.theta - c * sample.delta**p
+
+    def F_of_logmu(lm: float) -> float:
+        return F_of(_sample_at(case, lm, cfg))
+
+    def F_scan(lms: np.ndarray) -> np.ndarray:
+        vals: list[float] = []
+        for s in range(0, len(lms), _SCAN_CHUNK):
+            vals += map(F_of, _samples_at(case, lms[s : s + _SCAN_CHUNK], cfg))
+        return np.array(vals)
 
     # uniform z density; the shell-by-shell transient has period O(1) in z
     dz = (z_hi - z_lo) / max(1500, int(200.0 * 2.0 * n * math.log10(z_hi / z_lo)))
     zs = np.arange(z_lo, z_hi + 0.5 * dz, dz)
     lms = -2.0 * n * np.log(zs)
-    vals = np.array([F_of_logmu(lm) for lm in lms])
+    vals = F_scan(lms)
     f_at_one = lowest_shell_theta(d) - c  # delta = 1 endpoint, closed form
 
     # the edges count: they can carry the maximum toward the cap
@@ -350,7 +374,7 @@ def remainder_constant(
         z_hi = float(ext[-1])
         zs = np.concatenate([zs, ext])
         lms = -2.0 * n * np.log(zs)
-        vals = np.concatenate([vals, [F_of_logmu(lm) for lm in -2.0 * n * np.log(ext)]])
+        vals = np.concatenate([vals, F_scan(-2.0 * n * np.log(ext))])
         best_lm, best_val = grid_max(F_of_logmu, lms, vals, xtol=1e-11)
     else:
         raise ToleranceUnreachableError(

@@ -48,9 +48,9 @@ __all__ = [
 ]
 
 _MIN_RESOLUTION = 32
-#: the largest grid FourierInput.synthesize builds: a 2048^2 complex grid and
-#: its inverse FFT take about 200 MiB, near the 216 MiB peak of the largest
-#: shell table, _shells(2, 6000)
+#: the largest grid FourierInput.synthesize and extremal_field build: a
+#: 2048^2 complex grid and its inverse FFT take about 200 MiB, near the
+#: 216 MiB peak of the largest shell table, _shells(2, 6000)
 _MAX_SYNTH_RESOLUTION = 2048
 
 
@@ -241,6 +241,11 @@ def extremal_field(
         raise DomainError(
             f"extremal_field: resolution must be >= {_MIN_RESOLUTION}, "
             f"got {resolution}"
+        )
+    if resolution > _MAX_SYNTH_RESOLUTION:
+        raise ResourceLimitError(
+            f"extremal_field: resolution {resolution} is beyond the cap "
+            f"{_MAX_SYNTH_RESOLUTION}"
         )
     return _extremal_cached(float(mu), int(resolution), cfg)
 

@@ -685,6 +685,7 @@ def critical_sums(
 # ---------------------------------------------------------------------------
 
 _BASE_RADIUS = {1: 64, 2: 48, 3: 32}
+_BLOCK = 1 << 14  # elements in one row block of the batched shell pass
 
 
 def general_sums(
@@ -698,137 +699,136 @@ def general_sums(
     formed by subtraction) so that its error stays relative to h itself,
     even when mu is many orders of magnitude below 1.
     """
+    return _general_sums_batch(case, [mu], cfg)[0]
+
+
+def _general_tail(case, mu, T, tol, tails, f=0.0, g=0.0, fg=0.0):
+    """The sums f, g and fg = f - g over |k| <= T, completed beyond T by
+    1/(1+x) = sum_m (-1)^{m+1} x^{-m} (coefficients m - 1 for 1/(1+x)^2 and
+    m for the difference) with mu^{-m} in log space.  As x >= 8^{2n} >= 64
+    on the tail, the terms alternate and decrease, and an order provably
+    below tol ends the series with its bound.  Moments are exact (Hurwitz
+    zeta, d = 1) or clipped (:func:`_clipped_moment`) and, like brackets,
+    kept in tails.  Returns (f, g, fg, ctrl, floor): the errors that a larger
+    T reduces, which depend on mu and T alone, and the rounding and
+    subtraction noise that none does, reported but not held against tol."""
     d, n = case.d, case.n
-    if d > 3:
-        raise DomainError("general_sums: dimensions d > 3 are not supported")
+
+    def shared(kind: str, m: int, compute):
+        if (kind, m, T) not in tails:
+            tails[kind, m, T] = compute()
+        return tails[kind, m, T]
+
+    log_mu = math.log(mu)
+    sums, ctrl, floor = [f, g, fg], [0.0, 0.0, 0.0], [4e-15 * f, 4e-15 * g, 4e-15 * fg]
+    m = 0
+    while True:
+        m += 1
+        p = 2.0 * n * m  # > d, as CaseDN admits only 2n > d
+        lo, hi = shared("bracket", m, lambda: _power_tail_bracket(d, p, float(T)))
+        u_skip = math.exp(-m * log_mu + math.log(hi)) if hi > 0.0 else 0.0
+        if u_skip * m <= tol / 12.0:
+            # this and (by the x >= 64 decay) all higher orders are
+            # negligible; 1.25 covers the geometric rest
+            ctrl = [e + 1.25 * w * u_skip for e, w in zip(ctrl, (1, m, m + 1.0))]
+            break
+        sign = -1.0 if m % 2 == 0 else 1.0
+        if d == 1:
+            moment = shared("moment", m, lambda: 2.0 * _hurwitz_zeta(p, float(T + 1)))
+            term = math.exp(-m * log_mu + math.log(moment)) if moment > 0.0 else 0.0
+            floor_err, ctrl_err = 8e-16 * term, 0.0
+        else:
+            est, err, noise = shared(
+                "moment", m, lambda: _clipped_moment(d, m * n, *_shells(d, T), lo, hi)
+            )
+            scaled = math.exp(-m * log_mu + math.log(err)) if err > 0.0 else 0.0
+            # subtraction noise is a floor; a bracket half-width shrinks with T
+            floor_err, ctrl_err = (scaled, 0.0) if err == noise else (0.0, scaled)
+            term = math.exp(-m * log_mu + math.log(est)) if est > 0.0 else 0.0
+        # order m enters f, g and fg with weights 1, -(m - 1) and m
+        sums = [v + sign * w * term for v, w in zip(sums, (1, 1.0 - m, m))]
+        ctrl = [e + w * ctrl_err for e, w in zip(ctrl, (1, m - 1.0, m))]
+        floor = [e + w * floor_err for e, w in zip(floor, (1, m - 1.0, m))]
+        if m >= 8:  # defensive: the skip rule always fires well before
+            ctrl = [e + w * u_skip for e, w in zip(ctrl, (1, m, m + 1.0))]
+            break
+    return (*sums, ctrl, floor)
+
+
+def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
+    """The radius of general_sums at mu, from the tail terms alone: the first
+    T -> 1.6 T + 1 from about 8z whose controllable errors meet tol, or cap."""
+    d, n = case.d, case.n
     if not (mu > 0.0) or not math.isfinite(mu):
         raise DomainError(f"general_sums: mu must be positive and finite, got {mu!r}")
-    tol = cfg.target_abs_tol
     # overflow guard: mu * |k|^{2n} is formed in floating point
-    log_mu = math.log(mu)
-    if log_mu < -700.0 * 1.02:
+    if math.log(mu) < -700.0 * 1.02:
         raise DomainError("general_sums: mu underflows double precision")
-
     z = mu ** (-1.0 / (2.0 * n))  # radius where the screen turns over
-    cap = min(cfg.max_radius, _budget_radius(d))
     T = max(_BASE_RADIUS[d], int(8.0 * z) + 1)
     if T > cap:
-        # the tail expansion below needs the enumeration to reach ~8z so the
-        # screen is already strong on the whole tail; past the cap that is
-        # impossible, so no certified answer exists at this mu
+        # the tail expansion needs the screen strong on the whole tail, so the
+        # enumeration must reach ~8z; past the cap no certified answer exists
         raise ToleranceUnreachableError(
             f"general_sums: screening radius {T} for (d={d}, n={n}, "
             f"mu={mu:g}) exceeds the enumeration cap {cap}"
         )
-    while True:
+    while max(_general_tail(case, mu, T, tol, tails)[3][:2]) > tol and T < cap:
+        T = min(int(T * 1.6) + 1, cap)
+    return T
+
+
+def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig) -> list[SumTriple]:
+    """[general_sums(case, mu, cfg) for mu in mus], bit for bit.  Every
+    radius is picked (or refused) before any shell is summed; the mus at
+    one radius share a shell pass in row blocks, each row reduced by the
+    1-D dot a single mu uses; the tail terms of each (order, radius) are
+    computed once per call."""
+    d, n = case.d, case.n
+    if d > 3:
+        raise DomainError("general_sums: dimensions d > 3 are not supported")
+    tol = cfg.target_abs_tol
+    cap = min(cfg.max_radius, _budget_radius(d))
+    tails: dict = {}
+    radii = [_general_radius(case, mu, tol, cap, tails) for mu in mus]
+    shell_sums: list = [None] * len(radii)
+    for T in sorted(set(radii), reverse=True):
+        rows = [i for i, r in enumerate(radii) if r == T]
         q, c = _shells(d, T)
+        step = max(1, _BLOCK // len(q))
         # overflow -> inf -> term underflows to 0, correctly.  f - g sums
         # t (1 - t) without cancellation: 1 - t = 1/(1 + 1/x) keeps every
         # digit of x/(1 + x) even where x << 1 and 1 - t would round to 0
         with np.errstate(over="ignore", divide="ignore"):
-            x = mu * q**n
-            t = 1.0 / (1.0 + x)
-            fg = float(np.dot(c, t / (1.0 + 1.0 / x)))
-        f = float(np.dot(c, t))
-        g = float(np.dot(c, t * t))
+            qn = q**n
+            for block in (rows[s : s + step] for s in range(0, len(rows), step)):
+                x = np.array([mus[i] for i in block], dtype=np.float64)[:, None] * qn
+                t = 1.0 / (1.0 + x)
+                fg = np.divide(1.0, x, out=x)  # in place: x is not needed again
+                fg += 1.0
+                fg = np.divide(t, fg, out=fg)
+                for i, t_i, fg_i in zip(block, t, fg):
+                    shell_sums[i] = [float(np.dot(c, v)) for v in (t_i, t_i * t_i, fg_i)]
+                del x, t, fg, t_i, fg_i  # free the block: a row view keeps its array
 
-        # tail: 1/(1+x) = sum_m (-1)^{m+1} x^{-m};  1/(1+x)^2 similarly with
-        # coefficients (m-1); their difference has coefficients m.  On the
-        # tail x >= 8^{2n} >= 64, so all three alternate with decreasing
-        # terms and the first omitted term bounds each remainder.  Powers of
-        # 1/mu are handled in log space: mu^{-m} alone can overflow even
-        # though every actual term mu^{-m} * moment stays bounded.
-        #
-        # per-order rule: if the whole order is provably below the target it
-        # is skipped (its rigorous upper bound joins the controllable error);
-        # otherwise the moment is evaluated exactly (Hurwitz zeta, d = 1) or
-        # as a full-lattice-constant difference clipped into the bracket
-        # (d = 2, 3).  Subtraction noise and rounding form an irreducible
-        # floor that is reported but not held against the target, since no
-        # truncation radius can reduce it.
-        ctrl_f = ctrl_g = ctrl_fg = 0.0
-        floor_f = 4e-15 * f
-        floor_g = 4e-15 * g
-        floor_fg = 4e-15 * fg
-        m = 0
-        while True:
-            m += 1
-            p = 2.0 * n * m
-            if p <= d:  # moment divergent: cannot use this order (m too small)
-                raise ToleranceUnreachableError(
-                    f"general_sums: tail expansion inadmissible for (d={d}, n={n})"
-                )
-            lo, hi = _power_tail_bracket(d, p, float(T))
-            u_skip = math.exp(-m * log_mu + math.log(hi)) if hi > 0.0 else 0.0
-            if u_skip * m <= tol / 12.0:
-                # this and (by the x >= 64 decay) all higher orders are
-                # negligible; 1.25 covers the geometric rest
-                ctrl_f += 1.25 * u_skip
-                ctrl_g += 1.25 * m * u_skip
-                ctrl_fg += 1.25 * (m + 1.0) * u_skip
-                break
-            sign = -1.0 if m % 2 == 0 else 1.0
-            if d == 1:
-                moment = 2.0 * _hurwitz_zeta(p, float(T + 1))
-                term = (
-                    math.exp(-m * log_mu + math.log(moment)) if moment > 0.0 else 0.0
-                )
-                floor_err = 8e-16 * term
-                ctrl_err = 0.0
-            else:
-                est, err, noise = _clipped_moment(d, m * n, q, c, lo, hi)
-                scaled_err = math.exp(-m * log_mu + math.log(err)) if err > 0.0 else 0.0
-                # subtraction noise is a floor; a bracket half-width shrinks with T
-                if err == noise:
-                    floor_err, ctrl_err = scaled_err, 0.0
-                else:
-                    floor_err, ctrl_err = 0.0, scaled_err
-                term = math.exp(-m * log_mu + math.log(est)) if est > 0.0 else 0.0
-            f += sign * term
-            ctrl_f += ctrl_err
-            floor_f += floor_err
-            if m >= 2:
-                g += -sign * (m - 1.0) * term
-                ctrl_g += (m - 1.0) * ctrl_err
-                floor_g += (m - 1.0) * floor_err
-            fg += sign * m * term
-            ctrl_fg += m * ctrl_err
-            floor_fg += m * floor_err
-            if m >= 8:  # defensive: the skip rule always fires well before
-                ctrl_f += u_skip
-                ctrl_g += m * u_skip
-                ctrl_fg += (m + 1.0) * u_skip
-                break
-        h = fg / mu
-        err_h = (ctrl_fg + floor_fg) / mu + 4e-16 * abs(h)
-        if max(ctrl_f, ctrl_g) <= tol:
-            return SumTriple(
-                mu,
-                SpecialValue(f, ctrl_f + floor_f),
-                SpecialValue(g, ctrl_g + floor_g),
-                SpecialValue(h, err_h),
-                "direct",
-            )
-        if T >= cap:
-            # enumeration cannot grow further, so the remaining controllable
-            # error is irreducible in practice; the bounds stay rigorous, so
-            # return them as long as they are still tiny relative to the
-            # values themselves (the d = 3 small-mu regime lands here)
-            if ctrl_f <= 1e-7 * max(1.0, abs(f)) and ctrl_g <= 1e-7 * max(
-                1.0, abs(g)
-            ):
-                return SumTriple(
-                    mu,
-                    SpecialValue(f, ctrl_f + floor_f),
-                    SpecialValue(g, ctrl_g + floor_g),
-                    SpecialValue(h, err_h),
-                    "direct",
-                )
+    out = []
+    for mu, T, shell in zip(mus, radii, shell_sums):
+        f, g, fg, ctrl, floor = _general_tail(case, mu, T, tol, tails, *shell)
+        # past tol T is the cap, which cannot grow; the bounds stay
+        # rigorous, so they are returned while tiny relative to the values
+        # themselves (the d = 3 small-mu regime lands here)
+        if max(ctrl[:2]) > tol and not (
+            ctrl[0] <= 1e-7 * max(1.0, abs(f)) and ctrl[1] <= 1e-7 * max(1.0, abs(g))
+        ):
             raise ToleranceUnreachableError(
                 f"general_sums: cannot certify {tol:g} for (d={d}, n={n}, "
                 f"mu={mu:g}) within enumeration radius {cap}"
             )
-        T = min(int(T * 1.6) + 1, cap)
+        h = fg / mu
+        err_h = (ctrl[2] + floor[2]) / mu + 4e-16 * abs(h)
+        f_sv, g_sv = (SpecialValue(v, e + fl) for v, e, fl in zip((f, g), ctrl, floor))
+        out.append(SumTriple(mu, f_sv, g_sv, SpecialValue(h, err_h), "direct"))
+    return out
 
 
 # ---------------------------------------------------------------------------

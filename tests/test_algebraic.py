@@ -12,6 +12,7 @@ import math
 import pytest
 
 from torsob import algebraic as al
+from torsob import lattice
 from torsob.errors import DomainError, TorsobError
 from torsob.curve import _theta_sample
 from torsob.lattice import CaseDN, PrecisionConfig, general_sums
@@ -210,3 +211,19 @@ def test_positive_crossings_13():
     c = CaseDN(1, 3)
     mid = math.sqrt(lo * hi)
     assert al.shifted_deviation(c, mid) > 0.0
+
+
+def test_remainder_constant_shares_tail_moments(monkeypatch):
+    # every input of a clipped tail moment is (d, order, radius), so one
+    # batched call computes each once: about 230 calls, against 11,538 when
+    # each scan point computed its own
+    calls = []
+    clipped = lattice._clipped_moment
+
+    def counted(*args):
+        calls.append(args[:2])
+        return clipped(*args)
+
+    monkeypatch.setattr(lattice, "_clipped_moment", counted)
+    al.remainder_constant(CaseDN(2, 2))
+    assert 0 < len(calls) <= 1000

@@ -250,6 +250,13 @@ def test_tolerance_unreachable_exit_code():
     assert r.stderr.startswith("torsob: tolerance-unreachable:")
 
 
+def test_field_resolution_cap_exit_code():
+    r = run_cli("field", "--mu", "10", "--resolution", "100000")
+    assert r.returncode == 3
+    assert r.stderr.startswith("torsob: tolerance-unreachable: extremal_field:")
+    assert r.stdout == ""
+
+
 def test_field_repeat_runs_same_bytes(tmp_path):
     a = tmp_path / "r1"
     b = tmp_path / "r2"

@@ -301,6 +301,20 @@ def test_synthesis_past_the_grid_cap_raises_before_allocating():
         cosx().synthesize(resolution=4096)
 
 
+def test_extremal_field_past_the_grid_cap_raises_before_allocating():
+    # a 10^5 grid would ask for a (5 10^4)^2 float64 node table (20 GB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            field.extremal_field(10.0, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    with pytest.raises(ResourceLimitError):
+        field.extremal_field(10.0, field._MAX_SYNTH_RESOLUTION + 1)
+
+
 def test_fourier_input_from_file(tmp_path):
     p = tmp_path / "modes.txt"
     p.write_text("# cosine\n1 0 3.141592653589793 0\n-1 0 3.141592653589793 0\n")

@@ -18,8 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsob import lattice
-from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
+from torsob.errors import (
+    DomainError,
+    ResourceLimitError,
+    ToleranceUnreachableError,
+    TorsobError,
+)
 from torsob.lattice import (
+    DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
     TailDescriptor,
@@ -194,6 +200,65 @@ def test_general_sums_cap_raises():
     # d = 3 at tiny mu needs an enumeration radius beyond any sane budget
     with pytest.raises(ToleranceUnreachableError):
         general_sums(CaseDN(3, 2), 1e-18)
+
+
+#: the (d, n) cases of the remainder-constant table
+GATE_CASES = ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (2, 10), (3, 6))
+
+
+def _triple_fields(tr):
+    return (tr.mu, tr.method) + tuple(
+        (sv.value, sv.abs_error_bound) for sv in (tr.f, tr.g, tr.h)
+    )
+
+
+@pytest.mark.parametrize("d, n", GATE_CASES)
+def test_general_sums_batch_is_the_scalar_call_bit_for_bit(d, n):
+    # z = mu^{-1/2n} is the screening radius; the upper ends keep d = 2 off
+    # the 6000 cap (a 216 MiB shell table) and bring d = 3 onto its cap of
+    # 170, where the 1e-7 relative rule returns the sums
+    case, cfg = CaseDN(d, n), DEFAULT_CONFIG
+    rng = np.random.default_rng(100 * d + n)
+    z_hi = {1: 150.0, 2: 5.5 if n == 2 else 25.0, 3: 12.0}[d]
+    zs = np.concatenate([[0.3, z_hi], rng.uniform(0.3, z_hi, 22)])
+    mus = [float(z ** (-2.0 * n)) for z in zs]
+    batch = lattice._general_sums_batch(case, mus, cfg)
+    assert [_triple_fields(t) for t in batch] == [
+        _triple_fields(general_sums(case, mu)) for mu in mus
+    ]
+
+    cap = min(cfg.max_radius, lattice._budget_radius(d))
+    climbs = at_cap = 0
+    for z, mu in zip(zs, mus):
+        T = lattice._general_radius(case, mu, cfg.target_abs_tol, cap, {})
+        climbs += T > max(lattice._BASE_RADIUS[d], int(8.0 * z) + 1)
+        ctrl = lattice._general_tail(case, mu, T, cfg.target_abs_tol, {})[3]
+        at_cap += T == cap and max(ctrl[:2]) > cfg.target_abs_tol
+    if (d, n) in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 6)):
+        assert climbs > 0
+    assert (at_cap > 0) == (d == 3)
+
+
+@pytest.mark.parametrize(
+    "d, n, bad",
+    [
+        (2, 3, 0.0),
+        (2, 3, -1.0),
+        (1, 2, math.nan),
+        (1, 2, math.inf),
+        (2, 2, 1e-320),  # mu |k|^{2n} would underflow
+        (3, 2, 1e-18),  # screening radius past the d = 3 cap
+    ],
+)
+def test_general_sums_batch_bad_mu_raises_like_the_scalar_call(d, n, bad):
+    case = CaseDN(d, n)
+    with pytest.raises(TorsobError) as scalar:
+        general_sums(case, bad)
+    with pytest.raises(TorsobError) as batch:
+        lattice._general_sums_batch(case, [0.5, bad, 2.0, -3.0], DEFAULT_CONFIG)
+    assert type(batch.value) is type(scalar.value)
+    assert str(batch.value) == str(scalar.value)
+    assert lattice._general_sums_batch(case, [], DEFAULT_CONFIG) == []
 
 
 def test_case_dn_admissibility():
