@@ -163,9 +163,15 @@ def mode_splitting_bound(
     radii (squared norms representable as a sum of two squares) are cuts;
     ties break toward the smaller radius.  With n*^2 = delta log delta, the
     minimum runs over every shell radius with N^2 <= max(16 n*^2, 400)
-    while n*^2 < 1e5, and above that over at most 700 representable cuts,
-    each the largest one at or below a point of a geometric grid of 700
-    points on [n*^2/6, 6 n*^2].  Returns (P, N_min).
+    while n*^2 < 1e5, by running sums over the shell table (S_high as
+    Z2(2) less the whole table plus the shells above each cut, smallest
+    first).  Above that it runs over at most 700 representable cuts, each
+    the largest one at or below a point of a geometric grid of 700 points
+    on [n*^2/6, 6 n*^2], with both sums from the row kernel
+    :func:`~torsob.lattice._partial_sums_at`: each lattice row closed in
+    k2 less its Euler-Maclaurin tail (first omitted term below 2.5e-16 of
+    the tail), the rows past the cut as pi zeta(3, isqrt(N^2) + 1), and
+    S_high summed from its own terms.  Returns (P, N_min).
     """
     if not (delta >= 1.0):
         raise DomainError(f"mode_splitting_bound: need delta >= 1, got {delta!r}")
@@ -175,7 +181,6 @@ def mode_splitting_bound(
             f"mode_splitting_bound: delta={delta:g} needs cut radii beyond "
             "the lattice point budget"
         )
-    z4 = _z2_moment(2).value
     if n_star2 < _EXACT_ENUM_LIMIT:
         # every shell is a cut: cumulative sums over the cached shell table
         m_cap = int(max(16.0 * n_star2, 400.0))
@@ -188,12 +193,11 @@ def mode_splitting_bound(
         # complement Z2(2) - cumsum would lose the small tail to cancellation
         tail = np.zeros(n)
         tail[:-1] = np.cumsum(t4[:0:-1])[::-1]
-        S_high = (z4 - math.fsum(t4)) + tail
+        S_high = (_z2_moment(2).value - math.fsum(t4)) + tail
     else:
         raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
         cands = np.unique([_prev_representable(int(m)) for m in raw]).astype(np.float64)
-        S2, S4 = _partial_sums_at(cands)
-        S_high = z4 - S4
+        S2, S_high = _partial_sums_at(cands)
     S_high = np.maximum(S_high, 0.0)
     vals = (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
     i = int(np.argmin(vals))

@@ -876,35 +876,174 @@ def beta_constant() -> SpecialValue:
     return SpecialValue(v, 5e-14)
 
 
+#: Euler-Maclaurin starts a row tail only where a^2 + k2^2 >= _EM_RADIUS^2;
+#: the rows of smaller cuts reach that point by direct terms
+_EM_RADIUS = 100
+_PAIR_BLOCK = 1 << 15  # (cut, row) pairs in one block of _partial_sums_at
+
+#: (u - sin u)/u^3 = sum_{k >= 1} (-1)^(k+1) v^(k-1)/(2k+1)! in v = u^2,
+#: highest power first; for u <= pi the omitted terms are below 1e-17 of it
+_U_SIN_U = tuple((-1.0) ** (k + 1) / math.factorial(2 * k + 1) for k in range(14, 0, -1))
+
+
+def _row_tails(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T2 = sum_{k >= x} 1/(k^2 + a^2) and T4 = sum_{k >= x} 1/(k^2 + a^2)^2
+    for integer-valued float arrays a >= 0, x >= 1 with a^2 + x^2 >= 100^2.
+
+    Euler-Maclaurin from x with the f', f''' and f^(5) terms.  With
+    phi = arctan(a/x) the integrals from x are phi/a and (u - sin u)/(4 a^3)
+    = 2 (phi/a)^3 (u - sin u)/u^3, u = 2 phi <= pi, the last factor summed
+    as its Taylor series so that nothing cancels at small a/x; a = 0 takes
+    the limits 1/x and 1/(3 x^3).  The poles +-ia of the summands lie a
+    distance r = sqrt(a^2 + x^2) >= 100 from [x, inf): |f^(7)| is at most
+    8!/r^9 for T2 and 7! C(10, 3)/r^11 for T4, so the first omitted term,
+    B8 f^(7)/8!, is below r^-8/30 of T2 and 2.5 r^-8 of T4 (2.5e-16 at
+    r = 100).
+    """
+    t = a / x
+    phi = np.arctan(t)
+    i2 = np.divide(phi, t, out=np.ones_like(t), where=t > 0.0)
+    i2 /= x
+    # (u - sin u)/u^3 at v = u^2 = 4 phi^2, by Horner
+    v = phi
+    v *= 4.0 * phi
+    p = np.full_like(v, _U_SIN_U[0])
+    for coef in _U_SIN_U[1:]:
+        p *= v
+        p += coef
+    x2 = x * x
+    g = a * a
+    g += x2
+    np.reciprocal(g, out=g)  # g = 1/r^2
+    c = x2
+    c *= g  # c = x^2/r^2
+    xg = x * g
+    # T2 = i2 + g/2 + x g^2 (1/6 - g (2c - 1)/30 + g^2 (16c^2 - 16c + 3)/126)
+    t2 = 16.0 * c
+    t2 -= 16.0
+    t2 *= c
+    t2 += 3.0
+    t2 *= g * (1.0 / 126.0)
+    t2 -= c / 15.0
+    t2 += 1.0 / 30.0
+    t2 *= g
+    t2 += 1.0 / 6.0
+    t2 *= xg
+    t2 += 0.5
+    t2 *= g
+    # T4 = i4 + g^2/2 + x g^3 (1/3 - g (8c - 3)/30 + 2 g^2 (24c^2 - 20c + 3)/63)
+    t4 = 24.0 * c
+    t4 -= 20.0
+    t4 *= c
+    t4 += 3.0
+    t4 *= g * (2.0 / 63.0)
+    t4 -= c * (8.0 / 30.0)
+    t4 += 0.1
+    t4 *= g
+    t4 += 1.0 / 3.0
+    t4 *= xg
+    t4 += 0.5
+    t4 *= g
+    t4 *= g
+    t2 += i2
+    i2 *= i2 * i2
+    i2 *= p
+    t4 += 2.0 * i2  # i4
+    return t2, t4
+
+
+def _direct_rows(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direct terms that carry a row tail out to radius R.
+
+    Returns X, D2 and D4: X[a] = ceil(sqrt(R^2 - a^2)) for 0 <= a <= R,
+    D2[a, x - 1] = sum over x <= k < X[a] of 1/(a^2 + k^2) for
+    1 <= x <= R (zero from x = X[a] on), and D4 the same with the square.
+    """
+    a = np.arange(R + 1.0)
+    X = np.ceil(np.sqrt(R * R - a * a))
+    k = np.arange(1.0, R + 1.0)
+    q = np.add.outer(a * a, k * k)
+    inside = k < X[:, None]
+    D2 = np.where(inside, 1.0 / q, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    D4 = np.where(inside, 1.0 / (q * q), 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return X, D2, D4
+
+
 def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S2(m) = sum over 0 < |k|^2 <= m of |k|^-2 (and S4 with |k|^-4) for an
-    ascending array of squared radii, in one row pass over the lattice."""
-    m_max = int(m_list[-1])
-    kmax = math.isqrt(m_max)
-    S2 = np.zeros(len(m_list))
-    S4 = np.zeros(len(m_list))
-    # quadrant weights: (k1, k2) with k1, k2 >= 0 stands for the sign
-    # orbit of size (2 if k1 > 0 else 1) * (2 if k2 > 0 else 1)
-    for k1 in range(0, kmax + 1):
-        rem = m_max - k1 * k1
-        if rem < 0:
-            break
-        k2 = np.arange(0 if k1 > 0 else 1, math.isqrt(rem) + 1, dtype=np.float64)
-        if len(k2) == 0:
-            continue
-        q = k1 * k1 + k2 * k2
-        w = np.where(k2 > 0.0, 2.0, 1.0) * (2.0 if k1 > 0 else 1.0)
-        c2 = np.cumsum(w / q)
-        c4 = np.cumsum(w / (q * q))
-        idx = np.searchsorted(q, m_list + 0.5)
-        good = idx > 0
-        S2[good] += c2[idx[good] - 1]
-        S4[good] += c4[idx[good] - 1]
-    return S2, S4
+    """S2(m), the sum of |k|^-2 over 0 < |k|^2 <= m, and S_high(m), the sum
+    of |k|^-4 over |k|^2 > m, for an array of integers m >= 0.
+
+    Row k1 = +-a of a cut holds |k2| <= K = isqrt(m - a^2).  Each row is
+    closed in k2: its part of S2 is the full row
+    sum_{k2} 1/(a^2 + k2^2) = pi coth(pi a)/a (2 zeta(2) for a = 0, which
+    drops k2 = 0) less twice the tail T2 over k2 > K, and its part of
+    S_high is twice the tail T4.  The tails are direct terms while
+    a^2 + k2^2 < 100^2, then Euler-Maclaurin (:func:`_row_tails`, first
+    omitted term below 2.5e-16 of each tail).  The rows |k1| > A = isqrt(m) are whole: with
+    sum_{k2} 1/(a^2 + k2^2)^2 = pi coth(pi a)/(2a^3)
+    + pi^2 csch^2(pi a)/(2a^2) they add up to pi zeta(3, A + 1) plus their
+    e^{-2 pi a} parts, summed up to a = 8.  So S_high is summed term by
+    term and never taken as Z2(2) less a partial sum.  The (cut, row)
+    pairs go through in blocks of whole cuts, at most 2^15 pairs each
+    unless one cut is longer, reduced by a pairwise np.add.reduceat;
+    nothing is kept between calls.
+    """
+    m = np.rint(np.asarray(m_list, dtype=np.float64))
+    A = np.floor(np.sqrt(m))  # exact for m < 2^52
+    n_rows = A.astype(np.int64) + 1
+    ends = np.cumsum(n_rows)
+    # half of each full row, (pi/2) coth(pi a)/a, and zeta(2) for a = 0
+    rows = np.arange(1.0, A.max() + 1.0)
+    half_full = np.concatenate(([math.pi**2 / 6.0], 0.5 * math.pi / (rows * np.tanh(math.pi * rows))))
+    # the rows past the cut; their e^{-2 pi a} parts are below 1e-21 from a = 9 on
+    rows = np.arange(1.0, 9.0)
+    ex = (
+        math.pi * (1.0 / np.tanh(math.pi * rows) - 1.0) / rows**3
+        + (math.pi / (rows * np.sinh(math.pi * rows))) ** 2
+    )
+    ex_past = np.append(ex[::-1].cumsum()[::-1], 0.0)  # sum over a > A, for A = 0 .. 8
+    beyond = np.array([math.pi * _hurwitz_zeta(3.0, Ai + 1.0) for Ai in A])
+    beyond += ex_past[np.minimum(A, 8.0).astype(np.int64)]
+    R = _EM_RADIUS
+    if m.min() < R * R:
+        X, D2, D4 = _direct_rows(R)
+
+    S2 = np.empty(len(m))
+    S_high = np.empty(len(m))
+    j = 0
+    while j < len(m):
+        begin = ends[j] - n_rows[j]
+        k = max(j + 1, int(np.searchsorted(ends, begin + _PAIR_BLOCK, side="right")))
+        counts = n_rows[j:k]
+        starts = ends[j:k] - counts - begin
+        a = np.arange(float(ends[k - 1] - begin))
+        a -= np.repeat(starts.astype(np.float64), counts)
+        x = np.repeat(m[j:k], counts)
+        x -= a * a
+        np.sqrt(x, out=x)
+        np.floor(x, out=x)
+        x += 1.0  # the first k2 past the cut
+        head = half_full[a.astype(np.int64)]
+        if m[j:k].min() < R * R:
+            ai = np.minimum(a, R).astype(np.int64)
+            xi = np.minimum(x, R).astype(np.int64) - 1
+            head -= D2[ai, xi]
+            t4 = D4[ai, xi]
+            t2, em4 = _row_tails(a, np.maximum(x, X[ai]))
+            t4 += em4
+        else:
+            t2, t4 = _row_tails(a, x)
+        head -= t2
+        # rows +-a count four times (both signs of k1 and of k2), row 0 twice
+        S2[j:k] = 4.0 * np.add.reduceat(head, starts) - 2.0 * head[starts]
+        S_high[j:k] = 4.0 * np.add.reduceat(t4, starts) - 2.0 * t4[starts] + beyond[j:k]
+        j = k
+    return S2, S_high
 
 
 def partial_inverse_square_sum(N: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Sum of 1/|k|^2 over lattice points 0 < |k| <= N."""
+    """Sum of 1/|k|^2 over lattice points 0 < |k| <= N: the one-cut S2 of
+    :func:`_partial_sums_at`, full rows less their tails."""
     if not (N >= 1.0):
         raise DomainError(f"partial_inverse_square_sum: need N >= 1, got {N!r}")
     if N > 30000:

@@ -2,7 +2,9 @@
 mode splitting, and the single-log minimization."""
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from torsob.bounds import (
 from torsob.curve import loglog_lower_constant, theta_model
 from torsob.errors import DomainError
 from torsob.lattice import (
+    _partial_sums_at,
+    _shells,
     beta_constant,
     is_representable,
     partial_inverse_square_sum,
@@ -139,6 +143,109 @@ def test_mode_splitting_value_matches_fsum_at_cut(delta):
     high4 = epstein(4.0) - math.fsum(counts / shells**2)
     ref = (math.sqrt(low2) + math.sqrt(delta * high4)) ** 2 / (4.0 * math.pi**2)
     assert abs(P - ref) < 3e-12 * ref
+
+
+def _s_high_40_digits(m: int) -> mp.mpf:
+    """sum of |k|^-4 over |k|^2 > m at 40 digits, without the row kernel.
+
+    Row k1 = +-a (a >= 1) past K = isqrt(m - a^2) is
+    T4 = -Im psi(z)/(2a^3) - Re psi'(z)/(2a^2) at z = K + 1 - ia (partial
+    fractions of 1/(k^2 + a^2)^2), row 0 past A = isqrt(m) is zeta(4, A + 1),
+    and the rows |k1| > A add up to pi zeta(3, A + 1) plus their
+    e^{-2 pi a} parts.
+    """
+    with mp.workdps(40):
+        A = math.isqrt(m)
+        rows = mp.mpf(0)
+        for a in range(1, A + 1):
+            z = mp.mpc(math.isqrt(m - a * a) + 1, -a)
+            rows -= mp.im(mp.psi(0, z)) / (2 * a**3) + mp.re(mp.psi(1, z)) / (2 * a**2)
+        total = 2 * mp.zeta(4, A + 1) + 4 * rows + mp.pi * mp.zeta(3, A + 1)
+        for a in range(A + 1, 12):
+            total += mp.pi * (mp.coth(mp.pi * a) - 1) / a**3 + (mp.pi / (a * mp.sinh(mp.pi * a))) ** 2
+        return total
+
+
+def _s_low_direct(m: int) -> float:
+    """sum of |k|^-2 over 0 < |k|^2 <= m, one lattice row at a time."""
+    rows = []
+    for a in range(math.isqrt(m) + 1):
+        k = np.arange(1.0, math.isqrt(m - a * a) + 1.0)
+        row = 2.0 * float(np.sum(1.0 / (a * a + k * k)))
+        rows.append(row if a == 0 else 2.0 * (row + 1.0 / (a * a)))
+    return math.fsum(rows)
+
+
+def test_s_high_reference_against_catalan():
+    # the polygamma rows against Z2(2) = 4 zeta(2) G less the inside, at 40 digits
+    for m in (1, 2, 50, 99, 1000):
+        with mp.workdps(40):
+            K = math.isqrt(m)
+            inside = mp.fsum(
+                mp.mpf(1) / (a * a + b * b) ** 2
+                for a in range(-K, K + 1)
+                for b in range(-K, K + 1)
+                if 0 < a * a + b * b <= m
+            )
+            truth = 4 * mp.zeta(2) * mp.catalan - inside
+            assert abs(_s_high_40_digits(m) - truth) < mp.mpf(10) ** -30 * truth
+
+
+@pytest.mark.parametrize(
+    "delta, cut", [(1.08e4, 136777), (1e5, 1506866), (1e6, 17534677)]
+)
+def test_mode_splitting_above_switch_matches_40_digit_sums(delta, cut):
+    # the cut of the parent row loop, and P from S_high summed at 40 digits
+    # by polygammas and S_low by direct rows; Z2(2) - S4 missed by 1e-11 to 4e-9
+    P, N = mode_splitting_bound(delta)
+    m = round(N * N)
+    assert m == cut
+    s_low = _s_low_direct(m)
+    s_high = float(_s_high_40_digits(m))
+    S2, S_high = _partial_sums_at(np.array([float(m)]))
+    assert abs(S2[0] - s_low) < 1e-15 * s_low
+    assert abs(S_high[0] - s_high) < 1e-15 * s_high
+    ref = (math.sqrt(s_low) + math.sqrt(delta * s_high)) ** 2 / (4.0 * math.pi**2)
+    assert abs(P - ref) < 1e-13 * ref
+
+
+def test_row_kernel_matches_shell_sums_at_every_shell():
+    # every shell up to m = 2e5, across the enumeration switch: S2 against
+    # the running sum of the path below the switch (itself off by up to
+    # 7.7e-15 there), S_high against the shells above each cut summed
+    # smallest first plus the 40-digit tail past the last shell.  Below
+    # m = 1e4 the row tails start at radius 100 after direct terms; without
+    # the f^(5) Euler-Maclaurin term S_high is off by 9e-14 near m = 1e4
+    m_cap = 200_000
+    q, c = _shells(2, math.isqrt(m_cap) + 1)
+    n = int(np.searchsorted(q, float(m_cap), side="right"))
+    q, c = q[:n], c[:n]
+    S2, S_high = _partial_sums_at(q)
+    S2_run = np.cumsum(c / q)
+    assert np.max(np.abs(S2 - S2_run) / S2_run) < 1e-14
+    t4 = c / (q * q)
+    with mp.workdps(40):
+        inside = mp.fsum(mp.mpf(int(ci)) / int(qi) ** 2 for ci, qi in zip(c, q))
+        past = float(4 * mp.zeta(2) * mp.catalan - inside)
+    above = np.zeros(n)
+    above[:-1] = np.cumsum(t4[:0:-1])[::-1]
+    ref = past + above
+    assert np.max(np.abs(S_high - ref) / ref) < 1e-14
+
+
+def test_row_kernel_peak_memory():
+    # the delta = 1e6 cut list as mode_splitting_bound builds it; blocks of
+    # whole cuts keep the kernel's working set to a few MiB
+    n_star2 = 1e6 * math.log(1e6)
+    raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
+    cands = np.unique([_prev_representable(int(m)) for m in raw]).astype(np.float64)
+    tracemalloc.start()
+    try:
+        _partial_sums_at(cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_mode_splitting_frozen():

@@ -10,6 +10,7 @@ grad_norm_sq = 4 pi^2 g(mu) and lap_norm_sq = 4 pi^2 h(mu).
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -227,6 +228,38 @@ def test_extremal_origin_is_f_less_aliasing(mu):
         alias = critical_sums(mu * res * res).f.value / res**2
         assert abs(origin - (f - alias)) <= 1e-11 * f
     assert f - origin < 1e-5 * f
+
+
+def _rows_40_digits(t2: float, mu: float, M: int) -> tuple[mp.mpf, list]:
+    """Row 0 and rows k1 = 1..M of sum' cos(k.x)/(k^2 (1 + mu k^2)) at
+    x2 = t2, from the closed forms at 40 digits."""
+    with mp.workdps(40):
+        t, b = mp.mpf(t2), 1 / mp.sqrt(mp.mpf(mu))
+
+        def h(x):
+            return mp.cosh(x * (mp.pi - t)) / (x * mp.sinh(mp.pi * x))
+
+        row0 = (mp.pi**2 / 3 - mp.pi * t + t**2 / 2) - (mp.pi * h(b) - 1 / b**2)
+        rows = [mp.pi * (h(mp.mpf(k)) - h(mp.sqrt(k * k + b * b))) for k in range(1, M + 1)]
+        return row0, rows
+
+
+@pytest.mark.parametrize("mu", [1e4, 1e6, 1e8])
+def test_synth_rows_match_40_digit_rows(mu):
+    # the two closed forms of a row agree to about 1/mu; their difference,
+    # taken directly, lost mu * 1e-16 relative (2e-7 at mu = 1e8)
+    for t2 in (0.3, 1.7, 2.5, math.pi):
+        M = int(math.ceil(42.0 / t2)) + 8
+        row0, rows = _rows_40_digits(t2, mu, M)
+        got = field._row_terms(np.arange(1.0, M + 1.0), t2, mu)
+        for g, r in zip(got, rows):
+            assert abs(g - r) <= 1e-14 * abs(r)
+        t1 = np.array([0.0, 0.37 * t2, t2])
+        values = field._synth_rows(t1, t2, mu)
+        for x1, v in zip(t1, values):
+            with mp.workdps(40):
+                ref = row0 + 2 * mp.fsum(mp.cos(k * mp.mpf(x1)) * r for k, r in enumerate(rows, 1))
+            assert abs(v - ref) <= 1e-14 * abs(ref)
 
 
 def test_field_grid_validation(star_grid):
