@@ -1,10 +1,11 @@
 """Derivative-free 1D search helpers shared across modules.
 
-* ``golden_min``/``golden_max``: a plain golden-section bracketing
-  minimizer; no gradients, no surprises.  The objective is evaluated once
-  per shrink step, matching the classical scheme (Kiefer 1953).
-* ``grid_max``: the maximum of a function sampled on a grid, every
-  interior local maximum polished by ``golden_max``.
+* ``golden_min``: a plain golden-section bracketing minimizer; no
+  gradients, no surprises.  The objective is evaluated once per shrink
+  step, matching the classical scheme (Kiefer 1953).
+* ``envelope_max``: the certified maximum of a lower envelope of tangent
+  lines minus a concave function, by branch-and-bound between samples; it
+  gives both sharp constants, L and K_d(n).
 * ``brentq``: bracketed root finding by Brent's method (Brent 1973,
   *Algorithms for Minimization without Derivatives*, ch. 4), ported line
   for line from scipy's C routine ``brentq.c``: the same floating-point
@@ -66,39 +67,56 @@ def golden_min(
     return d, fd
 
 
-def golden_max(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Maximize ``func`` on [lo, hi]; returns (argmax, max)."""
-    x, negf = golden_min(lambda t: -func(t), lo, hi, xtol=xtol, max_iter=max_iter)
-    return x, -negf
+_ULPS = 16.0 * sys.float_info.epsilon  # outward rounding, per largest term
 
 
-def grid_max(
-    func: Callable[[float], float],
-    xs: np.ndarray,
-    vals: np.ndarray,
-    xtol: float,
-) -> tuple[float, float]:
-    """Maximize ``func`` from its values ``vals`` on the grid ``xs``;
-    returns (argmax, max).  Every interior local maximum is golden-polished
-    between its neighbours; an edge that beats them all is returned as
-    sampled, ``(xs[0], vals[0])`` or ``(xs[-1], vals[-1])``."""
-    best_x, best_val = float(xs[0]), -math.inf
-    interior = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    for i in np.nonzero(interior)[0] + 1:
-        lo, hi = min(xs[i + 1], xs[i - 1]), max(xs[i + 1], xs[i - 1])
-        x, v = golden_max(func, lo, hi, xtol=xtol)
-        if v > best_val:
-            best_x, best_val = x, v
-    for i in (0, len(vals) - 1):
-        if vals[i] > best_val:
-            best_x, best_val = float(xs[i]), float(vals[i])
-    return best_x, best_val
+def envelope_max(probe: Callable, phi: Callable, ts: np.ndarray, tol: float) -> tuple:
+    """Maximize J = Y(delta) - phi(delta) over a coordinate t in which delta
+    increases, for phi concave and increasing (vectorized) and Y below a
+    line at every sample: (best payload, lower, upper), where [lower, upper]
+    encloses sup J.  probe(ts) samples increasing points in one call; row i
+    of its (rows, payloads) is (y, y_err, delta, delta_err, c0, c1), with Y
+    within y_err of y at the true delta(t_i), that delta within delta_err of
+    delta, and Y <= c0 + c1 delta everywhere.  A line minus phi is convex,
+    so between samples a and b, for any c, J is at most line_a - phi at the
+    left end or at c, or line_b - phi at c or at the right end; c is where
+    the lines cross.  Intervals whose bound beats the best sample by more
+    than its error and their ends' are bisected, as are the neighbours of an
+    interior best sample, one probe call per generation, until none wider
+    than tol is left.  Bounds are rounded out by 16 ulp of their largest
+    term.  (Pruning as in Hansen & Walster, *Global Optimization Using
+    Interval Analysis*, 2004.)
+    """
+    t = np.asarray(ts, dtype=np.float64)
+    if t.size < 2 or not np.all(np.diff(t) > 0.0):
+        raise DomainError("envelope_max: need at least two increasing seeds")
+    rows, payloads = probe(t)
+    rows, payloads, ref = np.asarray(rows, dtype=np.float64), list(payloads), np.arange(t.size)
+    while True:
+        y, y_err, delta, delta_err, c0, c1 = rows.T
+        value, far = y - phi(delta), phi(delta + delta_err)
+        lower = y - y_err - far - _ULPS * (np.abs(y) + np.abs(far))
+        err = value - lower
+        lo, hi = (delta - delta_err)[:-1], (delta + delta_err)[1:]
+        a0, a1, b0, b1 = c0[:-1], c1[:-1], c0[1:], c1[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.fmax(lo, np.fmin((b0 - a0) / (a1 - b1), hi))  # nan -> hi
+        ub = np.maximum.reduce([
+            a0 + a1 * lo - phi(lo),
+            np.maximum(a0 + a1 * c, b0 + b1 * c) - phi(c),
+            b0 + b1 * hi - phi(hi),
+        ]) + _ULPS * (np.abs(a0) + np.abs(b0) + (np.abs(a1) + np.abs(b1)) * hi + np.abs(phi(hi)))
+        best = int(np.argmax(value))
+        split = ub > value[best] + err[best] + np.maximum(err[:-1], err[1:])
+        if 0 < best < t.size - 1:
+            split[best - 1 : best + 1] = True
+        at = np.nonzero(split & (np.diff(t) > tol))[0] + 1
+        if at.size == 0:
+            return payloads[ref[best]], float(lower[best]), float(ub.max())
+        new_rows, new_payloads = probe(mids := 0.5 * (t[at - 1] + t[at]))
+        t, rows = np.insert(t, at, mids), np.insert(rows, at, new_rows, axis=0)
+        ref = np.insert(ref, at, np.arange(len(payloads), len(payloads) + at.size))
+        payloads += new_payloads
 
 
 # the defaults of scipy's brentq

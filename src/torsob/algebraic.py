@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import brentq, grid_max
-from .curve import ThetaSample, _theta_sample
+from ._optim import brentq, envelope_max
+from .curve import ThetaSample, _tangent_row, _theta_sample
 from .errors import DomainError, ToleranceUnreachableError, TorsobError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -60,10 +60,6 @@ __all__ = [
 _SIGN_TOL = 1e-7
 
 _ATT_TOL = 1e-9
-
-#: scan points per batched sum in remainder_constant: each call shares its
-#: tail terms, and only one chunk of samples is held at a time
-_SCAN_CHUNK = 128
 
 
 def leading_constant(case: CaseDN) -> float:
@@ -112,10 +108,10 @@ def _sample_at(case: CaseDN, lm: float, cfg: PrecisionConfig) -> ThetaSample:
     return _theta_sample(general_sums(case, math.exp(lm), cfg), case.d)
 
 
-def _samples_at(case: CaseDN, lms, cfg: PrecisionConfig) -> list[ThetaSample]:
-    """The exact curve samples at each log mu of lms, from one batched sum."""
-    sums = _general_sums_batch(case, [math.exp(lm) for lm in lms], cfg)
-    return [_theta_sample(tr, case.d) for tr in sums]
+def _samples_at(case: CaseDN, lms, cfg: PrecisionConfig, tails=None) -> list[tuple]:
+    """The envelope rows and curve samples at each log mu of lms, from one batched sum."""
+    sums = _general_sums_batch(case, [math.exp(lm) for lm in lms], cfg, tails)
+    return [_tangent_row(tr, case.d, 1.0) for tr in sums]
 
 
 def theta_dn(
@@ -225,7 +221,7 @@ def positive_crossings(
 
     lms = -2.0 * n * np.log(np.linspace(0.35, 6.0, 500))
     # the scan is one batched sum; the root solves start from its samples
-    samples = dict(zip(lms.tolist(), _samples_at(case, lms, cfg)))
+    samples = {lm: s for lm, (_, s) in zip(lms.tolist(), _samples_at(case, lms, cfg))}
 
     def at(lm: float) -> ThetaSample:
         if lm not in samples:
@@ -315,45 +311,36 @@ def remainder_constant(
 ) -> RemainderReport:
     """K_d(n) by maximizing the deviation F over the curve.
 
-    The sweep runs in the turnover coordinate z = mu^{-1/(2n)} (uniform in
-    z resolves the shell-by-shell transient whatever n is), from every
-    local maximum a golden-section refinement polishes the candidate, and
-    the cap doubles until the large-delta expansion certifiably takes over.
+    F is Theta less the concave c delta^{d/2n}, so
+    :func:`~torsob._optim.envelope_max` maximizes it in the turnover
+    coordinate z = mu^{-1/(2n)}, from 200 seeds (one batched sum) on
+    [0.2, max(1000^{1/2n}, 6)] and on each cap extension; the cap grows
+    until the large-delta expansion certifiably takes over.  K and
+    delta_argmax are the best sample's own values, unless the delta = 1
+    endpoint or the limit at infinity wins.
     """
     d, n = case.d, case.n
     U = remainder_upper_bound(case)
     c = leading_constant(case)
     p = d / (2.0 * n)
 
-    z_lo = 0.2
     z_hi = max(1000.0 ** (1.0 / (2.0 * n)), 6.0)
     # z drives the lattice truncation radius (~8z), so cap it well below the
     # point budget of the d-dimensional shell enumeration.
     z_cap = {1: 700.0, 2: 700.0, 3: 20.0}[d]
 
-    # no memo here: it would hold every scan sample (about 2 MB for (2,10))
-    # to save the one sum that delta_star repeats
-    def F_of(sample: ThetaSample) -> float:
-        return sample.theta - c * sample.delta**p
+    F_of = lambda sample: sample.theta - c * sample.delta**p  # noqa: E731
+    tails: dict = {}  # the tail terms of every batch of this search
 
-    def F_of_logmu(lm: float) -> float:
-        return F_of(_sample_at(case, lm, cfg))
+    def search(a: float, b: float) -> ThetaSample:
+        return envelope_max(
+            lambda zs: tuple(zip(*_samples_at(case, -2.0 * n * np.log(zs), cfg, tails))),
+            lambda delta: c * delta**p, np.linspace(a, b, 200), cfg.maximizer_tol,
+        )[0]
 
-    def F_scan(lms: np.ndarray) -> np.ndarray:
-        vals: list[float] = []
-        for s in range(0, len(lms), _SCAN_CHUNK):
-            vals += map(F_of, _samples_at(case, lms[s : s + _SCAN_CHUNK], cfg))
-        return np.array(vals)
-
-    # uniform z density; the shell-by-shell transient has period O(1) in z
-    dz = (z_hi - z_lo) / max(1500, int(200.0 * 2.0 * n * math.log10(z_hi / z_lo)))
-    zs = np.arange(z_lo, z_hi + 0.5 * dz, dz)
-    lms = -2.0 * n * np.log(zs)
-    vals = F_scan(lms)
+    best = search(0.2, z_hi)
     f_at_one = lowest_shell_theta(d) - c  # delta = 1 endpoint, closed form
 
-    # the edges count: they can carry the maximum toward the cap
-    best_lm, best_val = grid_max(F_of_logmu, lms, vals, xtol=1e-11)
     # certify that the tail beyond the cap cannot beat what was found:
     # either the expansion remainder sits below the third term (tail below
     # -U for good), or it sits below the gap to an interior maximum
@@ -361,7 +348,7 @@ def remainder_constant(
         strong, R = _tail_samples(case, z_hi, cfg)
         if strong:
             break
-        gap = max(best_val, f_at_one) + U
+        gap = max(F_of(best), f_at_one) + U
         if gap > 10.0 * _ATT_TOL * max(1.0, U) and R <= 0.6 * gap:
             break
         grown = z_hi * max(2.0 ** (1.0 / (2.0 * n)), 1.22)
@@ -370,17 +357,14 @@ def remainder_constant(
                 "remainder_constant: tail not certified below the "
                 f"lattice-enumeration cap for (d,n)=({d},{n})"
             )
-        ext = np.arange(z_hi + dz, grown + 0.5 * dz, dz)
-        z_hi = float(ext[-1])
-        zs = np.concatenate([zs, ext])
-        lms = -2.0 * n * np.log(zs)
-        vals = np.concatenate([vals, F_scan(-2.0 * n * np.log(ext))])
-        best_lm, best_val = grid_max(F_of_logmu, lms, vals, xtol=1e-11)
+        best = max(best, search(z_hi, grown), key=F_of)
+        z_hi = grown
     else:
         raise ToleranceUnreachableError(
             f"remainder_constant: expansion regime not reached for (d,n)=({d},{n})"
         )
 
+    best_val = F_of(best)
     endpoint_wins = f_at_one > best_val
 
     if not endpoint_wins and best_val <= -U + _ATT_TOL * max(1.0, U):
@@ -395,8 +379,7 @@ def remainder_constant(
     if endpoint_wins:
         K, delta_star = -f_at_one, 1.0
     else:
-        delta_star = _sample_at(case, best_lm, cfg).delta
-        K = -best_val
+        K, delta_star = -best_val, best.delta
     if abs(K) < _SIGN_TOL:
         sign = "zero-within-tol"
     else:

@@ -28,6 +28,7 @@ from .lattice import (
     DEFAULT_CONFIG,
     PrecisionConfig,
     TailDescriptor,
+    _largest_two_squares,
     _partial_sums_at,
     _shells,
     _z2_moment,
@@ -134,24 +135,6 @@ _EXACT_ENUM_LIMIT = 1e5  # N*^2 below this: enumerate every representable radius
 _POINT_CAP = 4e9  # squared-radius cap for the candidate sweep
 
 
-def _prev_representable(m: int) -> int:
-    """Largest m' <= m that is a sum of two squares (1 at the least).
-
-    m' = a^2 + b^2 with a <= b needs only a <= isqrt(m' // 2).  Each tried
-    integer is one vectorized test: float sqrt of an integer below 2^52 is
-    exact when the integer is a perfect square, so rounding it and squaring
-    back decides.
-    """
-    a2 = np.arange(math.isqrt(m // 2) + 1, dtype=np.float64) ** 2
-    while m > 1:
-        b2 = m - a2[: math.isqrt(m // 2) + 1]
-        b = np.rint(np.sqrt(b2))
-        if np.any(b * b == b2):
-            break
-        m -= 1
-    return max(m, 1)
-
-
 def mode_splitting_bound(
     delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
@@ -165,13 +148,13 @@ def mode_splitting_bound(
     minimum runs over every shell radius with N^2 <= max(16 n*^2, 400)
     while n*^2 < 1e5, by running sums over the shell table (S_high as
     Z2(2) less the whole table plus the shells above each cut, smallest
-    first).  Above that it runs over at most 700 representable cuts, each
-    the largest one at or below a point of a geometric grid of 700 points
-    on [n*^2/6, 6 n*^2], with both sums from the row kernel
-    :func:`~torsob.lattice._partial_sums_at`: each lattice row closed in
-    k2 less its Euler-Maclaurin tail (first omitted term below 2.5e-16 of
-    the tail), the rows past the cut as pi zeta(3, isqrt(N^2) + 1), and
-    S_high summed from its own terms.  Returns (P, N_min).
+    first).  Above that it runs over the integer points of a geometric grid
+    of 700 points on [n*^2/6, 6 n*^2], where both sums equal those of the
+    shell at or below, from the row kernel :func:`~torsob.lattice._partial_sums_at`:
+    each lattice row closed in k2 less its Euler-Maclaurin tail (first
+    omitted term below 2.5e-16 of the tail), the rows past the cut as
+    pi zeta(3, isqrt(N^2) + 1), and S_high summed from its own terms.  Only
+    the winning point is snapped to its shell.  Returns (P, N_min).
     """
     if not (delta >= 1.0):
         raise DomainError(f"mode_splitting_bound: need delta >= 1, got {delta!r}")
@@ -195,13 +178,14 @@ def mode_splitting_bound(
         tail[:-1] = np.cumsum(t4[:0:-1])[::-1]
         S_high = (_z2_moment(2).value - math.fsum(t4)) + tail
     else:
+        # ties go to the first, smallest point, and so to the smaller shell
         raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
-        cands = np.unique([_prev_representable(int(m)) for m in raw]).astype(np.float64)
+        cands = np.unique(raw).astype(np.float64)
         S2, S_high = _partial_sums_at(cands)
     S_high = np.maximum(S_high, 0.0)
     vals = (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
     i = int(np.argmin(vals))
-    return float(vals[i]), math.sqrt(float(cands[i]))
+    return float(vals[i]), math.sqrt(_largest_two_squares(int(cands[i])))
 
 
 def first_method_bound(

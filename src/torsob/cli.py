@@ -24,6 +24,7 @@ identical CSV/JSON bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -62,13 +63,8 @@ _MODEL_MAP = {
     "loglog": "loglog_asymptotic",
 }
 
-_CONFIG_FIELDS = {
-    "target_abs_tol": float,
-    "max_radius": int,
-    "max_bessel_terms": int,
-    "root_tol": float,
-    "maximizer_tol": float,
-}
+#: the config keys in declaration (manifest) order, typed by their defaults
+_CONFIG_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(PrecisionConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +295,9 @@ def cmd_constants(args) -> int:
         },
         "L": {
             "value": rep.L,
-            "method": "maximum of 4 pi Theta - log delta - log(1 + log delta) along "
-            "the parametric curve: grid scan in asinh(1/mu), golden-section polish",
+            "abs_error_bound": rep.abs_error_bound,
+            "method": "maximum of 4 pi Theta - log delta - log(1 + log delta) along the "
+            "curve: tangent-line branch-and-bound in asinh(1/mu), closed-form ends",
         },
         "delta_star": {"value": rep.delta_star, "method": "h/g at mu_star"},
         "mu_star": {"value": rep.mu_star, "method": "argmax of the same objective"},

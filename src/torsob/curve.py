@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import brentq, grid_max
+from ._optim import brentq, envelope_max
 from .errors import DomainError, TorsobError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -81,12 +81,13 @@ class ThetaSample:
 
 @dataclass(frozen=True)
 class LConstantReport:
-    """Result of maximizing 4 pi Theta(delta) - log delta - log(1 + log delta)."""
+    """The maximum L of 4 pi Theta - log delta - log(1 + log delta), within abs_error_bound."""
 
     L: float
     delta_star: float
     mu_star: float
     lower_bound: float
+    abs_error_bound: float
 
     def __post_init__(self) -> None:
         if not (self.L > self.lower_bound):
@@ -120,6 +121,17 @@ def _theta_sample(tr: SumTriple, d: int) -> ThetaSample:
     theta = f * f / (scale * g)
     err = 2.0 * abs(f) * tr.f.abs_error_bound / (scale * g) + theta * tr.g.abs_error_bound / g
     return ThetaSample(tr.mu, tr.h.value / g, theta, "exact", err)
+
+
+def _tangent_row(tr: SumTriple, d: int, scale: float) -> tuple[tuple, ThetaSample]:
+    """The sample of the sums tr and its :func:`envelope_max` row, Theta scaled
+    by scale: weighted Cauchy-Schwarz on u(0) = sum u_k gives Theta <= f (1 +
+    mu delta)/(2 pi)^d, tangent at h/g, with f moved out by its bound."""
+    s = _theta_sample(tr, d)
+    rel = tr.h.abs_error_bound / abs(tr.h.value) + tr.g.abs_error_bound / abs(tr.g.value)
+    c0 = scale * (tr.f.value + math.copysign(tr.f.abs_error_bound, tr.mu)) / _TWO_PI**d
+    delta_err = 1.05 * rel * s.delta + 4.0 * math.ulp(s.delta)
+    return (scale * s.theta, scale * s.abs_error_bound, s.delta, delta_err, c0, c0 * tr.mu), s
 
 
 def theta_point(mu: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThetaSample:
@@ -346,47 +358,44 @@ def gap(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _loglog_objective(s: ThetaSample) -> float:
-    return 4.0 * math.pi * s.theta - (math.log(s.delta) + math.log1p(math.log(s.delta)))
-
-
 def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
     """Maximize 4 pi Theta - log delta - log(1 + log delta) along the
     parametric curve, in x with eps = 1/mu = sinh(x): one monotone
     coordinate over both branches, where delta and Theta come from the same
-    lattice sums and no point needs a root solve.  A 1000-point scan from
-    x = asinh(-1) (the closed-form endpoint delta = 1) to asinh(700) (delta
-    about 110; no point falls on eps = 0) is golden-polished in x to a
-    bracket of ``cfg.maximizer_tol``; mu_star is the argmax itself.
+    lattice sums and no point needs a root solve.
 
-    The tail delta > 100 is excluded after checking programmatically that
-    the objective there stays clearly below the interior maximum, as the
-    double-log expansion predicts.
+    :func:`~torsob._optim.envelope_max` runs on 32 seeds from asinh(-1)
+    (delta = 1, excluded) to asinh(2e6) (delta about 1.4e5), down to
+    ``cfg.maximizer_tol`` in x around its best sample, whose own values are
+    L, delta_star and mu_star.  Below the first seed, its line less the
+    concave logs is convex and bounds the objective by its value at 1.  Past
+    the last, f(mu) = pi log(1/mu) + beta + mu - 2 pi b0(mu), with the image
+    sum b0 = sum' K0 > 0, puts the line at mu = 1/(delta log delta) at most
+    1 + c + (log log delta + c)/log delta, c = (beta + mu)/pi, decreasing
+    for delta > 3.3.
     """
-    # sinh(asinh(-1)) == -1.0 exactly, which theta_point takes as mu = -1
-    at = functools.cache(lambda x: theta_point(1.0 / math.sinh(x), cfg))
-    objective = lambda x: _loglog_objective(at(x))
+    rows_at: dict[float, tuple] = {}
 
-    xs = np.linspace(math.asinh(-1.0), math.asinh(700.0), 1000)
-    values = np.array([objective(float(x)) for x in xs])
-    x_star, _ = grid_max(objective, xs, values, xtol=cfg.maximizer_tol)
-    if x_star in (xs[0], xs[-1]):
-        raise TorsobError("find_L: maximum not interior to the search grid")
-    star = at(x_star)
-    L = _loglog_objective(star)
+    def probe(xs: np.ndarray) -> tuple:
+        pairs = [_tangent_row(critical_sums(1.0 / math.sinh(x) if x else math.inf, "auto", cfg),
+                              2, 4.0 * math.pi) for x in xs]  # x = 0 is mu = +-inf
+        rows_at.update(zip(xs, (row for row, _ in pairs)))
+        return tuple(zip(*pairs))
 
-    # programmatic tail exclusion: past the scan (delta about 149, 383 and
-    # 1107) the objective has dropped and keeps decaying like
-    # log log delta / log delta
-    tail_vals = [objective(math.asinh(e)) for e in (1e3, 3e3, 1e4)]
-    if not all(v < L - 0.05 for v in tail_vals):
-        raise TorsobError("find_L: tail values do not stay below the maximum")
-    if not (tail_vals[0] > tail_vals[1] > tail_vals[2]):
-        raise TorsobError("find_L: tail of the objective is not decaying")
-
+    xs = np.linspace(math.asinh(-1.0), math.asinh(2e6), 33)[1:]
+    loglog = lambda delta: np.log(delta) + np.log1p(np.log(delta))  # noqa: E731
+    star, lower, upper = envelope_max(probe, loglog, xs, cfg.maximizer_tol)
+    L = 4.0 * math.pi * star.theta - (math.log(star.delta) + math.log1p(math.log(star.delta)))
+    _, _, delta_hi, delta_err, _, _ = rows_at[xs[-1]]
+    beta, ld = beta_constant(), math.log(delta_hi - delta_err)
+    c = (beta.value + beta.abs_error_bound + 1.0 / ((delta_hi - delta_err) * ld)) / math.pi
+    ends = max(sum(rows_at[xs[0]][4:]), 1.0 + c + (math.log(ld) + c) / ld)
+    if not ends + 16.0 * math.ulp(ends) < lower:  # rounded outward
+        raise TorsobError(f"find_L: the bound {ends!r} past the search does not fall below L")
     return LConstantReport(
         L=L,
         delta_star=star.delta,
         mu_star=star.mu,
         lower_bound=loglog_lower_constant(),
+        abs_error_bound=max(L - lower, upper - L),
     )

@@ -22,8 +22,8 @@ from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
+    _largest_two_squares,
     general_sums,
-    is_representable,
     next_representable,
     r2_count,
 )
@@ -136,14 +136,11 @@ def limit_2d(z: float) -> float:
     """
     if not (z > 1.0) or not math.isfinite(z):
         raise DomainError(f"limit_2d: need finite z > 1, got {z!r}")
-    fl = math.floor(z)
-    if z == fl and is_representable(int(fl)):
+    l1 = _largest_two_squares(math.floor(z))
+    if z == l1:
         raise DomainError(
             f"limit_2d: the pointwise limit jumps at representable z = {z!r}"
         )
-    l1 = int(fl)
-    while not is_representable(l1):
-        l1 -= 1
     l2 = next_representable(l1)
     disk = r2_count(l1)
     quarter = 1.0 / (4.0 * math.pi * math.pi)

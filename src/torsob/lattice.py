@@ -33,7 +33,7 @@ is no hidden cancellation noise in the certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,9 +255,6 @@ def _radial_integrals(descriptor: "TailDescriptor", a: float) -> tuple[float, fl
     """(int_a^inf s S(s) ds, int_a^inf S(s) ds) for the 2D descriptor."""
     kind = descriptor.kind
     mu = descriptor.mu
-    if kind == "inverse_power":
-        p = descriptor.p
-        return a ** (2.0 - p) / (p - 2.0), a ** (1.0 - p) / (p - 1.0)
     if kind == "screened_h":
         # S = 1/(1+mu s^2)^2
         return 1.0 / (2.0 * mu * (1.0 + mu * a * a)), _int_h_tail(mu, a)
@@ -326,7 +323,8 @@ class TailDescriptor:
 
 def _bracket_beyond(descriptor: TailDescriptor, radius: float) -> tuple[float, float]:
     """Pure sandwich bracket for the tail beyond ``radius`` (no enumeration)."""
-    c = math.sqrt(2.0) / 2.0
+    if descriptor.kind == "inverse_power":
+        return _power_tail_bracket(2, descriptor.p, radius)
     if descriptor.kind == "hardy_mixed":
         # enclose the screen between power laws: for mu s^2 >= 9,
         # 1/(1+mu s^2) in [ (1 - 1/(mu a^2)) , 1 ] / (mu s^2).
@@ -339,6 +337,7 @@ def _bracket_beyond(descriptor: TailDescriptor, radius: float) -> tuple[float, f
         lo_p, hi_p = _power_tail_bracket(2, p, radius)
         slack = 1.0 - 1.0 / (mu * radius * radius)
         return slack * lo_p / mu, hi_p / mu
+    c = math.sqrt(2.0) / 2.0
     a_lo = radius + math.sqrt(2.0)
     a_hi = max(radius - math.sqrt(2.0), c)
     i1_lo, i2_lo = _radial_integrals(descriptor, a_lo)
@@ -778,18 +777,18 @@ def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
     return T
 
 
-def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig) -> list[SumTriple]:
+def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> list[SumTriple]:
     """[general_sums(case, mu, cfg) for mu in mus], bit for bit.  Every
     radius is picked (or refused) before any shell is summed; the mus at
     one radius share a shell pass in row blocks, each row reduced by the
     1-D dot a single mu uses; the tail terms of each (order, radius) are
-    computed once per call."""
+    computed once per call, or per dict tails passed to several calls."""
     d, n = case.d, case.n
     if d > 3:
         raise DomainError("general_sums: dimensions d > 3 are not supported")
     tol = cfg.target_abs_tol
     cap = min(cfg.max_radius, _budget_radius(d))
-    tails: dict = {}
+    tails = {} if tails is None else tails
     radii = [_general_radius(case, mu, tol, cap, tails) for mu in mus]
     shell_sums: list = [None] * len(radii)
     for T in sorted(set(radii), reverse=True):
@@ -1083,6 +1082,18 @@ def is_representable(m: int) -> bool:
         if b * b == b2:
             return True
     return False
+
+
+def _largest_two_squares(m: int) -> int:
+    """The largest sum of two squares <= m < 2^52: the maximum over a of
+    a^2 + isqrt(m - a^2)^2, in blocks of a (float sqrt floors exactly)."""
+    if not 0 <= m < 2**52:
+        raise DomainError(f"_largest_two_squares: need 0 <= m < 2^52, got {m!r}")
+    best, top = 0, math.isqrt(m) + 1
+    for s in range(0, top, _BLOCK):
+        a2 = np.arange(s, min(s + _BLOCK, top), dtype=np.float64) ** 2
+        best = max(best, int(np.max(a2 + np.floor(np.sqrt(m - a2)) ** 2)))
+    return best
 
 
 def next_representable(m: int) -> int:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from torsob.bounds import (
-    _prev_representable,
     alpha_constant,
     elementary_comparison,
     embedding_constant,
@@ -19,6 +18,7 @@ from torsob.bounds import (
 from torsob.curve import loglog_lower_constant, theta_model
 from torsob.errors import DomainError
 from torsob.lattice import (
+    _largest_two_squares,
     _partial_sums_at,
     _shells,
     beta_constant,
@@ -234,11 +234,12 @@ def test_row_kernel_matches_shell_sums_at_every_shell():
 
 
 def test_row_kernel_peak_memory():
-    # the delta = 1e6 cut list as mode_splitting_bound builds it; blocks of
-    # whole cuts keep the kernel's working set to a few MiB
+    # the delta = 1e6 cut list as mode_splitting_bound builds it, the raw
+    # grid points; blocks of whole cuts keep the kernel's working set to a
+    # few MiB
     n_star2 = 1e6 * math.log(1e6)
     raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
-    cands = np.unique([_prev_representable(int(m)) for m in raw]).astype(np.float64)
+    cands = np.unique(raw).astype(np.float64)
     tracemalloc.start()
     try:
         _partial_sums_at(cands)
@@ -268,14 +269,15 @@ def test_mode_splitting_monotone_across_enumeration_switch():
 
 
 def test_prev_representable_matches_scalar_test():
-    # the vectorized search against lattice.is_representable, one integer at
-    # a time, on small m, sums of two squares, and m up to 1e8
+    # the largest sum of two squares <= m, in one vectorized pass, against
+    # lattice.is_representable one integer at a time, on small m, sums of
+    # two squares, and m up to 1e8
     m_max = 10**8
     rng = np.random.default_rng(7)
     sample = list(range(1, 40)) + [int(m) for m in rng.integers(40, m_max, 40)]
     sample += [9991**2 + 37**2, 10**8, 2 * 7071**2, 3 * 7**8, m_max - 1]
     for m in sample:
-        p = _prev_representable(m)
+        p = _largest_two_squares(m)
         assert 1 <= p <= m
         assert is_representable(p)
         assert not any(is_representable(j) for j in range(p + 1, m + 1))

@@ -144,6 +144,7 @@ def test_constants_json():
     payload = json.loads(r.stdout[: r.stdout.rindex("}") + 1])
     assert payload["beta"]["value"] == pytest.approx(2.584981759579253, abs=1e-11)
     assert payload["L"]["value"] == pytest.approx(2.1562255281542130, abs=1e-8)
+    assert 0.0 < payload["L"]["abs_error_bound"] <= 1e-10
     assert payload["alpha"]["value"] == pytest.approx(1.5441386523708702, abs=1e-12)
     assert payload["loglog_lower_bound"]["value"] == pytest.approx(
         1.8228252496788484, abs=1e-12

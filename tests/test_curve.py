@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsob import curve
-from torsob._optim import golden_max
+from torsob._optim import golden_min
 from torsob.curve import (
     FOUR_MODE_THETA,
     MODELS,
@@ -274,9 +274,18 @@ def test_find_L_needs_no_root_solve(monkeypatch):
     monkeypatch.setattr(curve, "critical_sums", counted)
     monkeypatch.setattr(curve, "_solve_eps", no_solve)
     find_L()
-    # a fifth of the 11603 calls the search made on a delta grid, where
-    # every point took a root solve of about ten sums
-    assert len(calls) < 2320
+    # the envelope search: 32 seeds to delta about 1.4e5, then bisection
+    # where a tangent-line bound beats the best sample (the 1000-point
+    # scan with its golden polish and tail probes took 1039)
+    assert len(calls) <= 200
+
+
+def test_find_L_encloses_the_supremum():
+    # the enclosure holds the value of the 1000-point scan that preceded
+    # the envelope search
+    rep = find_L()
+    assert rep.abs_error_bound <= 0.5e-10
+    assert abs(rep.L - 2.1562255281542146) <= rep.abs_error_bound
 
 
 def test_find_L_matches_closed_form_models():
@@ -285,14 +294,14 @@ def test_find_L_matches_closed_form_models():
     # of the exact curve near delta* (see gap(4))
     L = find_L().L
     for model in ("theta0", "exp_corrected"):
-        _, L_model = golden_max(
-            lambda d: 4.0 * math.pi * theta_model(model, d)
-            - math.log(d)
-            - math.log1p(math.log(d)),
+        _, neg_L_model = golden_min(
+            lambda d: math.log(d)
+            + math.log1p(math.log(d))
+            - 4.0 * math.pi * theta_model(model, d),
             3.0,
             5.0,
         )
-        assert abs(L_model - L) < 1e-6
+        assert abs(-neg_L_model - L) < 1e-6
 
 
 @pytest.mark.parametrize("delta", [2.0, 4.0, 40.0])

@@ -24,7 +24,7 @@ from scipy.optimize import brentq as scipy_brentq
 from scipy.special import zeta as scipy_zeta
 
 from torsob import cli, curve
-from torsob._optim import brentq, grid_max
+from torsob._optim import brentq, envelope_max
 from torsob.errors import DomainError, ToleranceUnreachableError
 from torsob.specfun import _hurwitz_zeta, _riemann_zeta, zeta_dirichlet
 
@@ -130,34 +130,94 @@ def test_failed_root_solve_maps_to_cli_domain_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-# ---------------------------------------------------------------- grid_max
+# ------------------------------------------------------------ envelope_max
+
+# A concave Y as the lower envelope of known lines, a tent of slopes +-3
+# with its apex at (4.3, 20), less a concave phi of slope 3.01 up to
+# t = 4.1 and flat after it: J falls slowly from its left end, then rises
+# to a narrow peak at the apex that the integer seeds straddle.
+_LINES = ((20.0 - 3.0 * 4.3, 3.0), (20.0 + 3.0 * 4.3, -3.0))
+_PEAK_T = 4.3
+_PEAK = 20.0 - 3.01 * 4.1
 
 
-def _two_peaks(x: float) -> float:
-    return math.exp(-10.0 * (x - 1.0) ** 2) + 2.0 * math.exp(-10.0 * (x - 3.0) ** 2)
+def _phi(t):
+    return np.minimum(3.01 * t, 3.01 * 4.1)
 
 
-def test_grid_max_polishes_the_higher_peak():
-    xs = np.linspace(0.0, 4.0, 40)  # 3.0 falls between two points
-    vals = np.array([_two_peaks(x) for x in xs])
-    x, v = grid_max(_two_peaks, xs, vals, xtol=1e-9)
-    assert abs(x - 3.0) < 1e-6
-    assert v == _two_peaks(x)
-    assert v > vals.max()  # the grid misses the peak; the polish finds it
+def _envelope_probe(ts, calls=None, lines=_LINES):
+    """Exact samples of the envelope, each with its active line."""
+    rows = []
+    for t in ts:
+        a, b = min(lines, key=lambda ab: ab[0] + ab[1] * t)
+        rows.append((a + b * t, 0.0, t, 0.0, a, b))
+    if calls is not None:
+        calls.append(len(ts))
+    return rows, list(ts)
 
 
-def test_grid_max_takes_a_higher_edge():
-    def rising(x: float) -> float:
-        return _two_peaks(x) + 3.0 * math.exp(-10.0 * (x - 4.5) ** 2)
+def test_envelope_max_finds_the_peak_the_seeds_miss():
+    # the best seed is the left end, so only the bound of the interval
+    # [4, 5] can send the search to the peak
+    seeds = np.linspace(0.0, 6.0, 7)
+    rows, _ = _envelope_probe(seeds)
+    seed_values = [y - _phi(t) for y, _, t, *_ in rows]
+    assert int(np.argmax(seed_values)) == 0 and max(seed_values) < _PEAK - 0.5
+    calls = []
+    best, lower, upper = envelope_max(lambda ts: _envelope_probe(ts, calls), _phi, seeds, 1e-12)
+    assert lower <= _PEAK <= upper
+    assert upper - lower < 1e-11
+    assert abs(best - _PEAK_T) < 1e-11
+    # one batched probe per generation, each small next to the seeds
+    assert calls[0] == 7 and len(calls) < 60 and max(calls[1:]) <= 4
 
-    xs = np.linspace(0.0, 4.5, 46)
-    vals = np.array([rising(x) for x in xs])
-    assert (float(xs[-1]), float(vals[-1])) == grid_max(rising, xs, vals, xtol=1e-9)
-    # mirrored, the left edge wins the same way
-    left, left_vals = -xs[::-1], vals[::-1]
-    assert (float(left[0]), float(left_vals[0])) == grid_max(
-        lambda x: rising(-x), left, left_vals, xtol=1e-9
-    )
+
+@pytest.mark.parametrize("n_seeds", [3, 8, 40])
+def test_envelope_max_seed_count_changes_the_cost_not_the_result(n_seeds):
+    _, lower, upper = envelope_max(_envelope_probe, _phi, np.linspace(0.0, 6.0, n_seeds), 1e-12)
+    assert lower <= _PEAK <= upper
+    assert upper - lower < 1e-11
+
+
+def test_envelope_max_takes_a_higher_edge():
+    # J = t - sqrt(t) rises to the right end of the range
+    probe = lambda ts: _envelope_probe(ts, lines=((0.0, 1.0),))  # noqa: E731
+    best, lower, upper = envelope_max(probe, np.sqrt, np.linspace(1.0, 4.0, 8), 1e-9)
+    assert best == 4.0
+    assert lower <= 2.0 <= upper < 2.0 + 1e-13
+
+
+def test_envelope_max_holds_the_sample_errors():
+    # every sample off by its own error bound: the enclosure widens to hold
+    # the true maximum instead of the computed one
+    def probe(ts):
+        rows, payloads = _envelope_probe(ts)
+        return [(y + 1e-6, 2e-6, t, 0.0, a + 2e-6, b) for y, _, t, _, a, b in rows], payloads
+
+    _, lower, upper = envelope_max(probe, _phi, np.linspace(0.0, 6.0, 7), 1e-12)
+    assert lower <= _PEAK <= upper
+    assert upper - lower < 1e-5
+
+
+def test_envelope_max_resolves_the_argmax_below_the_sample_errors():
+    # a smooth peak with samples good to 1e-6 only: the bounds stop
+    # splitting at intervals about 1e-3 wide, and the neighbours of the
+    # best sample are split on down to tol
+    def probe(ts):
+        # Y = -(t - 2.2)^2 and its tangent lines, each moved up by the error
+        rows = [(-((t - 2.2) ** 2), 1e-6, t, 0.0, (t - 2.2) * (t + 2.2) + 1e-6, -2.0 * (t - 2.2))
+                for t in ts]
+        return rows, list(ts)
+
+    best, lower, upper = envelope_max(probe, np.zeros_like, np.linspace(0.0, 6.0, 7), 1e-9)
+    assert lower <= 0.0 <= upper
+    assert abs(best - 2.2) < 1e-6
+
+
+def test_envelope_max_needs_two_increasing_seeds():
+    for seeds in ([1.0], [2.0, 1.0]):
+        with pytest.raises(DomainError):
+            envelope_max(_envelope_probe, np.sqrt, np.array(seeds), 1e-9)
 
 
 # -------------------------------------------------------------------- zeta
