@@ -36,7 +36,7 @@ from .lattice import (
     critical_sums,
     tail_bracket,
 )
-from .specfun import bessel_k
+from .specfun import _bessel_k01
 
 __all__ = [
     "FieldGrid",
@@ -283,25 +283,33 @@ def _screened_green(x1: float, x2: float, mu: float) -> float:
     return float(_synth_rows(np.array([t1]), t2, mu)[0])
 
 
+#: the last image ring _bessel_image_sum may reach
+_IMAGE_RINGS = 39
+
+
 def _bessel_image_sum(x1: float, x2: float, mu: float) -> float:
-    """sum over m in Z^2 of K0(|x - 2 pi m| / sqrt(mu)), by square rings
-    grown until a ring contributes below 1e-14 of the accumulated value."""
+    """sum over m in Z^2 of K0(|x - 2 pi m| / sqrt(mu)), ring by ring in
+    n = max(|m1|, |m2|), stopping at the first ring n >= 1 that contributes
+    below 1e-14 of the accumulated value.  The rings come in blocks, one
+    Bessel kernel call each.  The first block reaches n = 1 + 6 sqrt(mu):
+    K0 decays by about e^{-2 pi/sqrt(mu)} a ring, so at the screenings
+    g0_value uses the rule stops inside it, near n = 5.6 sqrt(mu)."""
     sq = math.sqrt(mu)
-    total = bessel_k(0, math.hypot(x1, x2) / sq).value
-    for ring in range(1, 40):
-        contrib = 0.0
-        for m1 in range(-ring, ring + 1):
-            m2s = (
-                range(-ring, ring + 1)
-                if abs(m1) == ring
-                else (-ring, ring)
-            )
-            for m2 in m2s:
-                r = math.hypot(x1 - 2.0 * math.pi * m1, x2 - 2.0 * math.pi * m2)
-                contrib += bessel_k(0, r / sq).value
-        total += contrib
-        if contrib < 1e-14 * (1.0 + abs(total)):
-            return total
+    total = 0.0
+    lo, hi = 0, min(_IMAGE_RINGS, 1 + int(6.0 * sq))
+    while lo <= hi:
+        m = np.arange(-hi, hi + 1, dtype=float)
+        m1 = np.repeat(m, m.size)
+        m2 = np.tile(m, m.size)
+        ring = np.maximum(np.abs(m1), np.abs(m2)).astype(np.intp)
+        sel = ring >= lo
+        r = np.hypot(x1 - 2.0 * math.pi * m1[sel], x2 - 2.0 * math.pi * m2[sel])
+        sums = np.bincount(ring[sel] - lo, weights=_bessel_k01(r / sq)[0])
+        for n, contrib in enumerate(sums.tolist(), lo):
+            total += contrib
+            if n and contrib < 1e-14 * (1.0 + abs(total)):
+                return total
+        lo, hi = hi + 1, min(_IMAGE_RINGS, hi + 4)
     raise ToleranceUnreachableError("g0_value: image sum failed to converge")
 
 

@@ -39,9 +39,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from .specfun import (
+    _BESSEL_REL_BOUND,
     EULER_GAMMA,
     SpecialValue,
-    _bessel_k_ufuncs,
+    _bessel_k01,
     _hurwitz_zeta,
     zeta_dirichlet,
 )
@@ -607,9 +608,9 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     r = np.sqrt(q)
     args = t1 * r
     keep = args < 740.0
-    k0, k1 = _bessel_k_ufuncs()
-    b0 = float(np.dot(c[keep], k0(args[keep])))
-    b1 = float(np.dot(c[keep], r[keep] * k1(args[keep])))
+    k0, k1 = _bessel_k01(args[keep])
+    b0 = float(np.dot(c[keep], k0))
+    b1 = float(np.dot(c[keep], r[keep] * k1))
     # geometric bound for everything beyond radius M (ratio e^{-t1} per step)
     argM = t1 * (M + 1)
     if argM > 700.0:
@@ -627,13 +628,15 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     h = math.pi / mu - 1.0 + 2.0 * math.pi**2 * mu ** (-1.5) * b1
     g = f - mu * h
     # truncation pieces (held against the target) vs rounding allowances
-    # (reported only; they scale with the values themselves)
+    # (reported only; they scale with the values themselves).  Every image
+    # term is positive, so the kernel's relative bound carries over to b0
+    # and b1.
     trunc_f = 2.0 * math.pi * tail_b
     trunc_h = 2.0 * math.pi**2 * mu ** (-1.5) * tail_b * (M + 2)
-    round_f = 2.0 * math.pi * 2e-15 * b0 + 4e-16 * (
+    round_f = 2.0 * math.pi * _BESSEL_REL_BOUND * b0 + 4e-16 * (
         abs(f) + math.pi * abs(math.log(mu)) + beta
     )
-    round_h = 2.0 * math.pi**2 * mu ** (-1.5) * 2e-15 * b1 + 4e-16 * (
+    round_h = 2.0 * math.pi**2 * mu ** (-1.5) * _BESSEL_REL_BOUND * b1 + 4e-16 * (
         abs(h) + math.pi / mu
     )
     if max(trunc_f, trunc_h, trunc_f + mu * trunc_h) > tol:

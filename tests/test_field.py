@@ -14,11 +14,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.special import k0 as bessel_k0
 
 from torsob import field
 from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from torsob.lattice import CaseDN, PrecisionConfig, _z2_moment, critical_sums
+from torsob.specfun import bessel_k
 
 MU_STAR = 0.1221104705136475
 DELTA_STAR = 3.9288361657183553
@@ -58,6 +58,39 @@ def test_g0_near_origin_constant():
 def test_g0_singularity_rejected():
     with pytest.raises(DomainError):
         field.g0_value((0.0, 0.0))
+
+
+def _image_sum_ring_loop(x1, x2, mu):
+    """The image sum one point and one ring at a time, with the same
+    stopping rule: the reference for the blocked sum."""
+    sq = math.sqrt(mu)
+    total = bessel_k(0, math.hypot(x1, x2) / sq).value
+    for ring in range(1, 40):
+        contrib = 0.0
+        for m1 in range(-ring, ring + 1):
+            for m2 in range(-ring, ring + 1) if abs(m1) == ring else (-ring, ring):
+                r = math.hypot(x1 - 2.0 * math.pi * m1, x2 - 2.0 * math.pi * m2)
+                contrib += bessel_k(0, r / sq).value
+        total += contrib
+        if contrib < 1e-14 * (1.0 + abs(total)):
+            return total
+    raise AssertionError("ring loop did not converge")
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.1, 0.5, 1.0, 2.0, 10.0])
+def test_bessel_image_sum_matches_ring_loop(mu, monkeypatch):
+    # the blocked sum adds the same terms in another order; below 0.5 the
+    # corner points need a second block
+    calls = []
+    kernel = field._bessel_k01
+    monkeypatch.setattr(field, "_bessel_k01", lambda x: calls.append(1) or kernel(x))
+    for x1, x2 in ((math.pi, math.pi), (0.1, 0.0), (3.0, -0.5), (-1.3, 2.2)):
+        calls.clear()
+        got = field._bessel_image_sum(x1, x2, mu)
+        want = _image_sum_ring_loop(x1, x2, mu)
+        assert abs(got - want) <= 1e-14 * abs(want), (x1, x2)
+        if mu >= 0.5:  # g0_value's screenings: one kernel call
+            assert len(calls) == 1
 
 
 # ------------------------------------------------------ extremal synthesis
@@ -160,7 +193,7 @@ def test_extremal_spike_profile(tenth_grid):
             y = 2.0 * math.pi * j / res
             r = math.hypot(x, y)
             rem = v[c + i, c + j] - 2.0 * math.pi * (
-                math.log(1.0 / r) - bessel_k0(r / sq)
+                math.log(1.0 / r) - float(mp.besselk(0, r / sq))
             )
             assert 3.0 < rem < 3.8
 
