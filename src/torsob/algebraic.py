@@ -22,24 +22,23 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._optim import brentq, envelope_max
-from .curve import ThetaSample, _tangent_row, _theta_sample
-from .errors import DomainError, ToleranceUnreachableError, TorsobError
+from .curve import ThetaSample, _delta_root, _ladder, _tangent_row, _theta_sample
+from .errors import DomainError, ToleranceUnreachableError
 from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
+    _full_moment,
     _general_sums_batch,
     _omega,
-    _z2_moment,
-    _z3_moment,
     general_sums,
 )
-from .specfun import zeta_dirichlet
 
 __all__ = [
     "RemainderReport",
@@ -87,20 +86,10 @@ def lowest_shell_theta(d: int) -> float:
     return 2.0 * d / (2.0 * math.pi) ** d
 
 
-def _lattice_moment(d: int, j: int) -> float:
-    """sum' over Z^d of |k|^{-2j} (needs 2j > d)."""
-    if d == 1:
-        z, _ = zeta_dirichlet(2.0 * j)
-        return 2.0 * z.value
-    if d == 2:
-        return _z2_moment(j).value
-    return _z3_moment(j).value
-
-
 def delta_plateau(case: CaseDN) -> float:
     """delta at mu -> +inf: the positive-branch floor of the parametric map,
     equal to the ratio of the 2n-th to the 4n-th inverse lattice moments."""
-    return _lattice_moment(case.d, case.n) / _lattice_moment(case.d, 2 * case.n)
+    return _full_moment(case.d, case.n).value / _full_moment(case.d, 2 * case.n).value
 
 
 def _sample_at(case: CaseDN, lm: float, cfg: PrecisionConfig) -> ThetaSample:
@@ -118,7 +107,8 @@ def theta_dn(
     case: CaseDN, delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG
 ) -> ThetaSample:
     """Sharp curve sample at delta for the algebraic case: solves the
-    strictly decreasing map mu -> h/g by monotone bracketing in log mu.
+    strictly decreasing map mu -> h/g in log mu, with the bracket grown
+    from log mu = 0 in steps of 2.
 
     delta = 1 is the lowest-shell degeneration and is returned in closed
     form; delta strictly between 1 and the mu -> inf plateau would need the
@@ -137,30 +127,11 @@ def theta_dn(
         )
 
     at = functools.cache(lambda lm: _sample_at(case, lm, cfg))
-
-    def fun(lm: float) -> float:
-        return at(lm).delta - delta
-
-    lo = hi = 0.0
-    for _ in range(200):
-        if fun(lo) >= 0.0:
-            break
-        lo -= 2.0
-    else:
-        raise TorsobError("theta_dn: no bracket on the small-mu side")
-    for _ in range(200):
-        if fun(hi) <= 0.0:
-            break
-        hi += 2.0
-    else:
-        raise TorsobError("theta_dn: no bracket on the large-mu side")
-    root = at(brentq(fun, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    if abs(root.delta - delta) > cfg.root_tol * max(delta, 1.0) + 1e-10 * delta:
-        raise TorsobError(
-            f"theta_dn: root residual {abs(root.delta - delta):.3e} too large at "
-            f"delta={delta!r}"
-        )
-    return root
+    lm = _delta_root(
+        lambda x: at(x).delta, delta, _ladder(0.0, operator.sub, 2.0),
+        _ladder(0.0, operator.add, 2.0), True, 1e-13, 1e-10, cfg, "theta_dn",
+    )
+    return at(lm)
 
 
 def expansion_dn(case: CaseDN, delta: float) -> float:
@@ -240,7 +211,7 @@ def positive_crossings(
     i0 = int(np.argmax(pos))
     after = np.nonzero(~pos[i0:])[0]
     if i0 == 0 or after.size == 0:
-        raise TorsobError("positive_crossings: positive window hits the scan edge")
+        raise ToleranceUnreachableError("positive_crossings: positive window hits the scan edge")
     i1 = i0 + int(after[0]) - 1
 
     def end(a: float, b: float) -> float:

@@ -13,18 +13,24 @@ approximants (the logarithmic model theta0, its exponentially corrected
 refinement, and the double-logarithmic asymptotic), the tangent-condition
 sign check that orders the first two approximants, and the sharp additive
 constant L of the double-log upper bound together with its maximizer.
+
+Every lookup by delta, here and in :mod:`torsob.algebraic`, inverts a
+monotone map through one bracketed solve, :func:`_delta_root`, and depends
+only on its model, delta and configuration, never on earlier calls.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._optim import brentq, envelope_max
-from .errors import DomainError, TorsobError
+from .errors import DomainError, ToleranceUnreachableError
 from .lattice import (
     DEFAULT_CONFIG,
     PrecisionConfig,
@@ -146,40 +152,55 @@ def theta_point(mu: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThetaSample
     return _theta_sample(critical_sums(mu, "auto", cfg), 2)
 
 
+def _ladder(start: float, op, by: float, n: int = 200):
+    """start and the n - 1 candidate ends after it, each op(previous, by)."""
+    return itertools.islice(itertools.accumulate(itertools.repeat(by), op, initial=start), n)
+
+
+def _delta_root(
+    delta_at, delta: float, los, his, falling: bool, xtol: float, slack: float,
+    cfg: PrecisionConfig, name: str, check=None,
+) -> float:
+    """The coordinate x at which delta_at, monotone (falling if falling) and
+    memoized, reaches delta.  The bracket ends are the first of los
+    and of his not on the wrong side of delta (a NaN stops the search, and
+    Brent's method rejects it); both iterables step outward and are finite.
+    check(lo, hi), if given, sees the bracket before Brent's method runs;
+    the root must reproduce delta within cfg.root_tol * max(delta, 1) +
+    slack * delta.  A missing bracket or a larger residual raises
+    :class:`ToleranceUnreachableError`."""
+    sign = -1.0 if falling else 1.0
+    fun = lambda x: delta_at(x) - delta  # noqa: E731
+    lo = next((x for x in los if not sign * fun(x) > 0.0), None)
+    if lo is None:
+        raise ToleranceUnreachableError(f"{name}: no lower bracket for delta={delta!r}")
+    hi = next((x for x in his if not sign * fun(x) < 0.0), None)
+    if hi is None:
+        raise ToleranceUnreachableError(f"{name}: no upper bracket for delta={delta!r}")
+    if check is not None:
+        check(lo, hi)
+    x = brentq(fun, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300)
+    residual = abs(fun(x))
+    if residual > cfg.root_tol * max(delta, 1.0) + slack * delta:
+        raise ToleranceUnreachableError(
+            f"{name}: root residual {residual:.3e} exceeds tolerance at delta={delta!r}"
+        )
+    return x
+
+
 def _solve_eps(delta: float, cfg: PrecisionConfig) -> ThetaSample:
     """Solve delta(eps) = delta for eps in [-1, inf), where the map is
     strictly increasing, and return the curve sample at the root.  Each
     eps is summed once."""
-    dc = delta_critical()
     at = functools.cache(lambda e: theta_point(1.0 / e, cfg))
-    fun = lambda e: at(e).delta - delta
-    if delta < dc:
-        lo, hi = -1.0 + 1e-15, -1e-15
+    if delta < delta_critical():
+        los, his = (-1.0 + 1e-15,), (-1e-15,)
     else:
         # large-eps behaviour delta ~ eps/log(eps): bootstrap a bracket
         guess = delta * max(math.log(delta) + 2.0, 2.0)
-        lo, hi = guess, guess
-        for _ in range(200):
-            if fun(lo) <= 0.0:
-                break
-            lo /= 1.9
-        else:
-            raise TorsobError(f"mu_of_delta: no lower bracket for delta={delta!r}")
-        for _ in range(200):
-            if fun(hi) >= 0.0:
-                break
-            hi *= 1.9
-        else:
-            raise TorsobError(f"mu_of_delta: no upper bracket for delta={delta!r}")
-        if lo == hi:
-            return at(lo)
-    root = at(brentq(fun, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
-    if abs(root.delta - delta) > cfg.root_tol * max(delta, 1.0) + 1e-11 * delta:
-        raise TorsobError(
-            f"mu_of_delta: root residual {abs(root.delta - delta):.3e} exceeds "
-            f"tolerance at delta={delta!r}"
-        )
-    return root
+        los, his = _ladder(guess, operator.truediv, 1.9), _ladder(guess, operator.mul, 1.9)
+    return at(_delta_root(lambda e: at(e).delta, delta, los, his, False, 1e-15, 1e-11, cfg,
+                          "mu_of_delta"))
 
 
 def mu_of_delta(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -225,59 +246,50 @@ def _exp_pair(mu: float) -> tuple[float, float]:
     return delta, theta
 
 
-# lazily verified monotone inversion state per approximant
-_MODEL_RANGE: dict[str, tuple[float, float]] = {}  # tag -> (mu_min, mu_max)
+# per approximant, the log-mu interval on which its delta map is verified
+# monotone; its upper end is the root of delta_model = 1
+_MODEL_RANGE: dict[str, tuple[float, float]] = {}
 
 
 def _model_pair(tag: str):
     return _theta0_pair if tag == "theta0" else _exp_pair
 
 
-def _verify_model_range(tag: str, mu_min: float) -> tuple[float, float]:
-    """Establish (and cache) a mu-interval on which the approximant's delta
-    map is strictly decreasing, so that monotone inversion is justified.
-    The upper end is the root of delta_model(mu) = 1, taken on the side
-    where the map, evaluated through exp(log mu) as _invert_model does, is
-    <= 1, so that delta = 1 itself inverts."""
+def _verify_model_range(tag: str, lo: float = math.inf) -> float:
+    """The log mu at which the approximant's delta map reaches 1, after a
+    check that the map falls strictly on a 512-point grid from lo to there,
+    unless a verified interval already reaches lo: monotone inversion is
+    then justified.  The end is taken on the side where the map, evaluated
+    through exp(log mu) as _invert_model does, is <= 1, so that delta = 1
+    itself inverts."""
     pair = _model_pair(tag)
-    got = _MODEL_RANGE.get(tag)
-    if got is not None and got[0] <= mu_min:
-        return got
-    if got:
-        mu_max = got[1]
-    else:
+    if tag not in _MODEL_RANGE:
         mu_max = brentq(lambda m: pair(m)[0] - 1.0, 0.5, 3.0, xtol=1e-14)
         while pair(math.exp(math.log(mu_max)))[0] > 1.0:
             mu_max = math.nextafter(mu_max, math.inf)
-    grid = np.exp(np.linspace(math.log(mu_min), math.log(mu_max), 512))
-    deltas = np.array([pair(m)[0] for m in grid])
-    if not np.all(np.diff(deltas) < 0.0):
-        raise DomainError(
-            f"theta_model({tag}): delta map not monotone on "
-            f"[{mu_min:g}, {mu_max:g}]; inversion refused"
-        )
-    _MODEL_RANGE[tag] = (mu_min, mu_max)
-    return mu_min, mu_max
-
-
-def _invert_model(tag: str, delta: float) -> float:
-    """mu with delta_model(mu) = delta, on the lazily verified range."""
-    pair = _model_pair(tag)
-    mu_min = _MODEL_RANGE.get(tag, (1e-6, None))[0]
-    while pair(mu_min)[0] < delta:
-        mu_min *= 0.1
-        if mu_min < 1e-250:
+        _MODEL_RANGE[tag] = (math.log(mu_max), math.log(mu_max))
+    verified, hi = _MODEL_RANGE[tag]
+    if lo < verified:
+        deltas = np.array([pair(m)[0] for m in np.exp(np.linspace(lo, hi, 512))])
+        if not np.all(np.diff(deltas) < 0.0):
             raise DomainError(
-                f"theta_model({tag}): delta={delta!r} beyond invertible range"
+                f"theta_model({tag}): delta map not monotone on "
+                f"[{math.exp(lo):g}, {math.exp(hi):g}]; inversion refused"
             )
-    mu_min, mu_max = _verify_model_range(tag, mu_min)
-    return brentq(
-        lambda lm: pair(math.exp(lm))[0] - delta,
-        math.log(mu_min),
-        math.log(mu_max),
-        xtol=1e-14,
-        rtol=8.9e-16,
-        maxiter=200,
+        _MODEL_RANGE[tag] = (lo, hi)
+    return hi
+
+
+def _invert_model(tag: str, delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+    """log mu with delta_model(mu) = delta, bracketed between the first of
+    mu = 1e-6, 1e-7, ..., 1e-250 at or above delta and the root of
+    delta_model = 1, on a verified range."""
+    pair = _model_pair(tag)
+    return _delta_root(
+        functools.cache(lambda lm: pair(math.exp(lm))[0]), delta,
+        map(math.log, _ladder(1e-6, operator.mul, 0.1, 245)), (_verify_model_range(tag),),
+        True, 1e-14, 1e-11, cfg, f"theta_model({tag})",
+        lambda lo, _: _verify_model_range(tag, lo),
     )
 
 
@@ -288,7 +300,7 @@ def _model_sample(model: str, delta: float, cfg: PrecisionConfig) -> ThetaSample
         raise DomainError(f"theta_model: need delta >= 1, got {delta!r}")
     if model == "exact":
         return theta_point(-1.0) if delta == 1.0 else _solve_eps(delta, cfg)
-    mu = math.exp(_invert_model(model, delta))
+    mu = math.exp(_invert_model(model, delta, cfg))
     dd, theta = _model_pair(model)(mu)
     return ThetaSample(mu, dd, theta, model, 0.0)
 
@@ -391,7 +403,9 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
     c = (beta.value + beta.abs_error_bound + 1.0 / ((delta_hi - delta_err) * ld)) / math.pi
     ends = max(sum(rows_at[xs[0]][4:]), 1.0 + c + (math.log(ld) + c) / ld)
     if not ends + 16.0 * math.ulp(ends) < lower:  # rounded outward
-        raise TorsobError(f"find_L: the bound {ends!r} past the search does not fall below L")
+        raise ToleranceUnreachableError(
+            f"find_L: the bound {ends!r} past the search does not fall below L"
+        )
     return LConstantReport(
         L=L,
         delta_star=star.delta,

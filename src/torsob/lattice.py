@@ -448,6 +448,15 @@ def _z3_moment(j: int) -> SpecialValue:
     return sv
 
 
+def _full_moment(d: int, j: int) -> SpecialValue:
+    """Full-lattice moment sum' over Z^d of |k|^{-2j} (d = 1, 2, 3; 2j > d):
+    2 zeta(2j), :func:`_z2_moment` or :func:`_z3_moment`."""
+    if d == 1:
+        z, _ = zeta_dirichlet(2.0 * j)
+        return SpecialValue(2.0 * z.value, 2.0 * z.abs_error_bound)
+    return _z2_moment(j) if d == 2 else _z3_moment(j)
+
+
 def _clipped_moment(
     d: int, j: int, q: np.ndarray, c: np.ndarray, lo: float, hi: float
 ) -> tuple[float, float, float]:
@@ -460,7 +469,7 @@ def _clipped_moment(
     error; otherwise the bracket midpoint and half-width are.  Returns
     (estimate, error, noise); error == noise exactly in the first case.
     """
-    full = _z2_moment(j) if d == 2 else _z3_moment(j)
+    full = _full_moment(d, j)
     partial = float(np.dot(c, q ** (-float(j))))
     noise = full.abs_error_bound + 1.6e-15 * (abs(full.value) + partial)
     if noise < hi - lo:

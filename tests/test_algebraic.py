@@ -65,6 +65,18 @@ def test_theta_dn_frozen_22():
     assert abs(tp.mu - 1.2951199909388673) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "dn,mu_hex,theta_hex",
+    [
+        ((1, 3), "0x1.dad9c46a572e5p-6", "0x1.21ea34ead201fp-1"),
+        ((3, 2), "0x1.6eeb1977f31fdp-2", "0x1.1345836e042b5p-1"),
+    ],
+)
+def test_theta_dn_frozen_bits(dn, mu_hex, theta_hex):
+    tp = al.theta_dn(CaseDN(*dn), 10.0)
+    assert (tp.mu.hex(), tp.theta.hex()) == (mu_hex, theta_hex)
+
+
 @pytest.mark.parametrize("dn,delta", [((2, 2), 10.0), ((1, 3), 2.0), ((3, 2), 30.0)])
 def test_theta_dn_error_bound_covers_a_tighter_sum(dn, delta):
     c = CaseDN(*dn)

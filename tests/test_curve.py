@@ -89,6 +89,18 @@ def test_mu_of_delta_round_trip(logd):
     assert abs(theta_point(mu).delta - delta) < 1e-9 * delta
 
 
+@pytest.mark.parametrize(
+    "delta,mu_hex,theta_hex",
+    [
+        (1.2, "-0x1.fed99bfb1c0cdp+1", "0x1.73d3f047dd13ep-3"),  # negative branch
+        (5e4, "0x1.95f5f9d94c792p-20", "0x1.37b1fd0ab5923p+0"),
+    ],
+)
+def test_exact_lookup_frozen_bits(delta, mu_hex, theta_hex):
+    assert mu_of_delta(delta).hex() == mu_hex
+    assert theta_model("exact", delta).hex() == theta_hex
+
+
 def test_mu_of_delta_domain():
     with pytest.raises(DomainError):
         mu_of_delta(0.9)  # delta < 1 is impossible (Cauchy-Schwarz)
@@ -101,6 +113,24 @@ def test_models_tuple():
     assert MODELS == ("exact", "theta0", "exp_corrected", "loglog_asymptotic")
     with pytest.raises(DomainError):
         theta_model("bogus", 2.0)
+
+
+@pytest.mark.parametrize(
+    "model,delta,theta_hex,mu",
+    [
+        ("theta0", 2.0, "0x1.10ff681095397p-2", None),
+        ("exp_corrected", 1.5, None, 1.1947679030775304),
+    ],
+)
+def test_model_lookup_ignores_earlier_calls(model, delta, theta_hex, mu, monkeypatch):
+    # a lookup far out (mu near 1e-33) must not move the bracket of a later one
+    monkeypatch.setattr(curve, "_MODEL_RANGE", {})
+    fresh = (theta_model(model, delta), curve._invert_model(model, delta))
+    assert theta_hex is None or fresh[0].hex() == theta_hex
+    assert mu is None or math.exp(fresh[1]) == mu
+    monkeypatch.setattr(curve, "_MODEL_RANGE", {})
+    theta_model(model, 1e30)
+    assert (theta_model(model, delta), curve._invert_model(model, delta)) == fresh
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,26 @@ def test_failed_root_solve_maps_to_cli_domain_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_unreached_delta_maps_to_cli_tolerance_unreachable(monkeypatch, capsys):
+    # an exact curve whose delta stays at 1.5 never brackets delta = 2
+    stuck = lambda mu, cfg=None: curve.ThetaSample(mu, 1.5, 0.1, "exact", 0.0)  # noqa: E731
+    monkeypatch.setattr(curve, "theta_point", stuck)
+    code = cli.main(["theta", "--model", "exact", "--delta-grid", "2:3:2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("torsob: tolerance-unreachable: mu_of_delta: no upper bracket")
+
+
+def test_delta_root_checks_the_residual():
+    # Brent's method converges onto a jump of the map, which never reaches 1
+    jump = lambda x: 0.0 if x < 0.3 else 2.0  # noqa: E731
+    cfg = curve.DEFAULT_CONFIG
+    with pytest.raises(ToleranceUnreachableError, match="root residual"):
+        curve._delta_root(jump, 1.0, [-1.0], [1.0], False, 1e-15, 1e-11, cfg, "jump")
+    assert curve._delta_root(lambda x: 1.0 + x, 1.0, [-1.0], [1.0], False, 1e-15, 0.0, cfg,
+                             "line") == 0.0
+
+
 # ------------------------------------------------------------ envelope_max
 
 # A concave Y as the lower envelope of known lines, a tent of slopes +-3
