@@ -5,8 +5,8 @@ zero-mean periodic functions on tori.
 The package is organized around the objects it computes:
 
 ``specfun``
-    certified special-function kernel (Bessel K, Lambert W, Dirichlet
-    zeta/beta with Laurent data, log-gamma, erfc);
+    certified special-function kernel (Bessel K, Lambert W, Riemann and
+    Hurwitz zeta, Dirichlet beta);
 ``lattice``
     every lattice sum: the 2D critical triple (f, g, h), the general
     algebraic (d, n) triple, Hardy-type sums, rigorous tail brackets and

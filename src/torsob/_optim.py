@@ -68,9 +68,12 @@ def golden_min(
 
 
 _ULPS = 16.0 * sys.float_info.epsilon  # outward rounding, per largest term
+_MAXIMIZER_TOL = 1e-9  # the sample spacing at which find_L and K_d(n) stop
 
 
-def envelope_max(probe: Callable, phi: Callable, ts: np.ndarray, tol: float) -> tuple:
+def envelope_max(
+    probe: Callable, phi: Callable, ts: np.ndarray, tol: float = _MAXIMIZER_TOL
+) -> tuple:
     """Maximize J = Y(delta) - phi(delta) over a coordinate t in which delta
     increases, for phi concave and increasing (vectorized) and Y below a
     line at every sample: (best payload, lower, upper), where [lower, upper]

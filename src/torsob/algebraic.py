@@ -129,7 +129,7 @@ def theta_dn(
     at = functools.cache(lambda lm: _sample_at(case, lm, cfg))
     lm = _delta_root(
         lambda x: at(x).delta, delta, _ladder(0.0, operator.sub, 2.0),
-        _ladder(0.0, operator.add, 2.0), True, 1e-13, 1e-10, cfg, "theta_dn",
+        _ladder(0.0, operator.add, 2.0), True, 1e-13, 1e-10, "theta_dn",
     )
     return at(lm)
 
@@ -306,7 +306,7 @@ def remainder_constant(
     def search(a: float, b: float) -> ThetaSample:
         return envelope_max(
             lambda zs: tuple(zip(*_samples_at(case, -2.0 * n * np.log(zs), cfg, tails))),
-            lambda delta: c * delta**p, np.linspace(a, b, 200), cfg.maximizer_tol,
+            lambda delta: c * delta**p, np.linspace(a, b, 200),
         )[0]
 
     best = search(0.2, z_hi)

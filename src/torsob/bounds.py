@@ -54,12 +54,12 @@ _FOUR_PI_SQ = 4.0 * math.pi**2
 _EPS_LO, _EPS_HI = 1e-4, 0.5
 
 
-def embedding_constant(eps: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def embedding_constant(eps: float) -> float:
     """Sharp constant C(eps) of the fractional embedding controlling the
     sup norm: C(eps) = (sum' |k|^{-2(1+eps)})/(4 pi^2) = 1/(4 pi eps) + O(1)."""
     if not (eps > 0.0):
         raise DomainError(f"embedding_constant: need eps > 0, got {eps!r}")
-    return hardy_sum(eps, cfg).value / _FOUR_PI_SQ
+    return hardy_sum(eps).value / _FOUR_PI_SQ
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def elementary_comparison(
 
     def objective(log_eps: float) -> float:
         eps = math.exp(log_eps)
-        return hardy_sum(eps, cfg).value * _mixed_sum(mu, eps, cfg)
+        return hardy_sum(eps).value * _mixed_sum(mu, eps, cfg)
 
     log_eps, B = golden_min(
         objective, math.log(_EPS_LO), math.log(_EPS_HI), xtol=1e-6
@@ -135,9 +135,7 @@ _EXACT_ENUM_LIMIT = 1e5  # N*^2 below this: enumerate every representable radius
 _POINT_CAP = 4e9  # squared-radius cap for the candidate sweep
 
 
-def mode_splitting_bound(
-    delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
+def mode_splitting_bound(delta: float) -> tuple[float, float]:
     """The optimized split bound P(delta) and its minimizing cut radius.
 
     P(delta) = (1/4 pi^2) min_N (sqrt(S_low(N)) + sqrt(delta) sqrt(S_high(N)))^2
@@ -188,9 +186,7 @@ def mode_splitting_bound(
     return float(vals[i]), math.sqrt(_largest_two_squares(int(cands[i])))
 
 
-def first_method_bound(
-    delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG
-) -> float:
+def first_method_bound(delta: float) -> float:
     """The single-log bound min over eps of C(eps) delta^eps; for large
     delta this exceeds (1/4 pi) log delta by a factor tending to e."""
     if not (delta >= 1.0):
@@ -198,7 +194,7 @@ def first_method_bound(
 
     def objective(log_eps: float) -> float:
         eps = math.exp(log_eps)
-        return embedding_constant(eps, cfg) * delta**eps
+        return embedding_constant(eps) * delta**eps
 
     _, val = golden_min(objective, math.log(_EPS_LO), math.log(_EPS_HI), xtol=1e-8)
     return val

@@ -486,8 +486,8 @@ def cmd_bounds(args) -> int:
             (
                 d,
                 theta_model("exact", d, cfg),
-                mode_splitting_bound(d, cfg)[0],
-                first_method_bound(d, cfg),
+                mode_splitting_bound(d)[0],
+                first_method_bound(d),
             )
         )
     text = _csv_table(
@@ -512,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write BASE.csv/BASE.json plus BASE.manifest.json instead of stdout",
     )
     common.add_argument(
-        "--config", metavar="FILE", help="key = value precision settings"
+        "--config", metavar="FILE",
+        help="'key = value' lines setting target_abs_tol and max_radius",
     )
     common.add_argument(
         "--tol", type=float, help="override target_abs_tol from the config"

@@ -159,16 +159,15 @@ def _ladder(start: float, op, by: float, n: int = 200):
 
 def _delta_root(
     delta_at, delta: float, los, his, falling: bool, xtol: float, slack: float,
-    cfg: PrecisionConfig, name: str, check=None,
+    name: str, check=None,
 ) -> float:
     """The coordinate x at which delta_at, monotone (falling if falling) and
     memoized, reaches delta.  The bracket ends are the first of los
     and of his not on the wrong side of delta (a NaN stops the search, and
     Brent's method rejects it); both iterables step outward and are finite.
     check(lo, hi), if given, sees the bracket before Brent's method runs;
-    the root must reproduce delta within cfg.root_tol * max(delta, 1) +
-    slack * delta.  A missing bracket or a larger residual raises
-    :class:`ToleranceUnreachableError`."""
+    the root must reproduce delta within slack * delta.  A missing bracket
+    or a larger residual raises :class:`ToleranceUnreachableError`."""
     sign = -1.0 if falling else 1.0
     fun = lambda x: delta_at(x) - delta  # noqa: E731
     lo = next((x for x in los if not sign * fun(x) > 0.0), None)
@@ -181,7 +180,7 @@ def _delta_root(
         check(lo, hi)
     x = brentq(fun, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300)
     residual = abs(fun(x))
-    if residual > cfg.root_tol * max(delta, 1.0) + slack * delta:
+    if residual > slack * delta:
         raise ToleranceUnreachableError(
             f"{name}: root residual {residual:.3e} exceeds tolerance at delta={delta!r}"
         )
@@ -199,7 +198,7 @@ def _solve_eps(delta: float, cfg: PrecisionConfig) -> ThetaSample:
         # large-eps behaviour delta ~ eps/log(eps): bootstrap a bracket
         guess = delta * max(math.log(delta) + 2.0, 2.0)
         los, his = _ladder(guess, operator.truediv, 1.9), _ladder(guess, operator.mul, 1.9)
-    return at(_delta_root(lambda e: at(e).delta, delta, los, his, False, 1e-15, 1e-11, cfg,
+    return at(_delta_root(lambda e: at(e).delta, delta, los, his, False, 1e-15, 1e-11,
                           "mu_of_delta"))
 
 
@@ -280,7 +279,7 @@ def _verify_model_range(tag: str, lo: float = math.inf) -> float:
     return hi
 
 
-def _invert_model(tag: str, delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def _invert_model(tag: str, delta: float) -> float:
     """log mu with delta_model(mu) = delta, bracketed between the first of
     mu = 1e-6, 1e-7, ..., 1e-250 at or above delta and the root of
     delta_model = 1, on a verified range."""
@@ -288,7 +287,7 @@ def _invert_model(tag: str, delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG)
     return _delta_root(
         functools.cache(lambda lm: pair(math.exp(lm))[0]), delta,
         map(math.log, _ladder(1e-6, operator.mul, 0.1, 245)), (_verify_model_range(tag),),
-        True, 1e-14, 1e-11, cfg, f"theta_model({tag})",
+        True, 1e-14, 1e-11, f"theta_model({tag})",
         lambda lo, _: _verify_model_range(tag, lo),
     )
 
@@ -300,7 +299,7 @@ def _model_sample(model: str, delta: float, cfg: PrecisionConfig) -> ThetaSample
         raise DomainError(f"theta_model: need delta >= 1, got {delta!r}")
     if model == "exact":
         return theta_point(-1.0) if delta == 1.0 else _solve_eps(delta, cfg)
-    mu = math.exp(_invert_model(model, delta, cfg))
+    mu = math.exp(_invert_model(model, delta))
     dd, theta = _model_pair(model)(mu)
     return ThetaSample(mu, dd, theta, model, 0.0)
 
@@ -377,12 +376,12 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
     lattice sums and no point needs a root solve.
 
     :func:`~torsob._optim.envelope_max` runs on 32 seeds from asinh(-1)
-    (delta = 1, excluded) to asinh(2e6) (delta about 1.4e5), down to
-    ``cfg.maximizer_tol`` in x around its best sample, whose own values are
-    L, delta_star and mu_star.  Below the first seed, its line less the
-    concave logs is convex and bounds the objective by its value at 1.  Past
-    the last, f(mu) = pi log(1/mu) + beta + mu - 2 pi b0(mu), with the image
-    sum b0 = sum' K0 > 0, puts the line at mu = 1/(delta log delta) at most
+    (delta = 1, excluded) to asinh(2e6) (delta about 1.4e5), down to 1e-9
+    in x around its best sample, whose own values are L, delta_star and
+    mu_star.  Below the first seed, its line less the concave logs is
+    convex and bounds the objective by its value at 1.  Past the last,
+    f(mu) = pi log(1/mu) + beta + mu - 2 pi b0(mu), with the image sum
+    b0 = sum' K0 > 0, puts the line at mu = 1/(delta log delta) at most
     1 + c + (log log delta + c)/log delta, c = (beta + mu)/pi, decreasing
     for delta > 3.3.
     """
@@ -396,7 +395,7 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
 
     xs = np.linspace(math.asinh(-1.0), math.asinh(2e6), 33)[1:]
     loglog = lambda delta: np.log(delta) + np.log1p(np.log(delta))  # noqa: E731
-    star, lower, upper = envelope_max(probe, loglog, xs, cfg.maximizer_tol)
+    star, lower, upper = envelope_max(probe, loglog, xs)
     L = 4.0 * math.pi * star.theta - (math.log(star.delta) + math.log1p(math.log(star.delta)))
     _, _, delta_hi, delta_err, _, _ = rows_at[xs[-1]]
     beta, ld = beta_constant(), math.log(delta_hi - delta_err)

@@ -17,6 +17,7 @@ row by row, so no Fourier truncation enters the grid values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -313,7 +314,7 @@ def _bessel_image_sum(x1: float, x2: float, mu: float) -> float:
     raise ToleranceUnreachableError("g0_value: image sum failed to converge")
 
 
-def g0_value(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def g0_value(x) -> float:
     """The zero-mean Laplacian Green function sum' e^{i k.x}/k^2 at x != 0.
 
     The conditionally convergent lattice series is never summed as written:
@@ -355,8 +356,8 @@ class FourierInput:
     """Finite-support Hermitian coefficients u_k on Z^2 \\ {0}.
 
     The stored map is exactly what was passed in; Hermitian symmetry
-    u_{-k} = conj(u_k) is required (the field must be real) and the zero
-    mode is forbidden.
+    u_{-k} = conj(u_k) is required (the field must be real), and the zero
+    mode and non-finite coefficients are forbidden.
     """
 
     def __init__(self, coefficients: Mapping[tuple[int, int], complex]):
@@ -366,6 +367,8 @@ class FourierInput:
             if k == (0, 0):
                 raise DomainError("FourierInput: zero mode k=(0,0) is not allowed")
             coeffs[k] = complex(v)
+            if not cmath.isfinite(coeffs[k]):
+                raise DomainError(f"FourierInput: coefficient at k={k} is not finite")
         if not coeffs:
             raise DomainError("FourierInput: empty coefficient set")
         scale = max(abs(v) for v in coeffs.values())
@@ -410,21 +413,21 @@ class FourierInput:
 
     def norms(self) -> tuple[float, float, float]:
         """(l2, grad, lap) squared norms in the 1/2pi convention."""
-        l2 = grad = lap = 0.0
-        for (k1, k2), v in self.coefficients.items():
-            q = float(k1 * k1 + k2 * k2)
-            a = abs(v) ** 2
-            l2 += a
-            grad += q * a
-            lap += q * q * a
-        return l2, grad, lap
+        return self.sobolev_norm_sq(0), self.sobolev_norm_sq(1), self.sobolev_norm_sq(2)
 
     def sobolev_norm_sq(self, n: int) -> float:
-        """sum' |k|^{2n} |u_k|^2."""
-        return sum(
-            float(k1 * k1 + k2 * k2) ** n * abs(v) ** 2
-            for (k1, k2), v in self.coefficients.items()
-        )
+        """sum' |k|^{2n} |u_k|^2; a sum beyond double range raises
+        :class:`DomainError`."""
+        try:
+            total = sum(
+                float(k1 * k1 + k2 * k2) ** n * abs(v) ** 2
+                for (k1, k2), v in self.coefficients.items()
+            )
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise DomainError(f"FourierInput: the squared H^{n} norm overflows double precision")
+        return total
 
     def max_wavenumber(self) -> int:
         return max(

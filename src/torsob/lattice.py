@@ -73,25 +73,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Tunable accuracy/resource knobs shared by all numerical routines."""
+    """The accuracy target and the enumeration cap of the lattice sums."""
 
     target_abs_tol: float = 1e-12
     max_radius: int = 6000
-    max_bessel_terms: int = 200_000
-    root_tol: float = 1e-13
-    maximizer_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (
-            self.target_abs_tol > 0
-            and self.root_tol > 0
-            and self.maximizer_tol > 0
-        ):
-            raise DomainError("PrecisionConfig: tolerances must be positive")
+        if not self.target_abs_tol > 0:
+            raise DomainError("PrecisionConfig: target_abs_tol must be positive")
         if self.max_radius < 8:
             raise DomainError("PrecisionConfig: max_radius must be >= 8")
-        if self.max_bessel_terms < 1:
-            raise DomainError("PrecisionConfig: max_bessel_terms must be >= 1")
 
 
 DEFAULT_CONFIG = PrecisionConfig()
@@ -134,6 +125,7 @@ _SHELL_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 
 # point-count safety caps per dimension for a single enumeration
 _POINT_BUDGET = {1: 40_000_000, 2: 150_000_000, 3: 40_000_000}
+_MAX_BESSEL_TERMS = 200_000  # image-point cap of the accelerated critical sums
 
 
 def _budget_radius(d: int) -> int:
@@ -592,6 +584,12 @@ def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
 def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     if not mu > 0.0:
         raise DomainError("critical_sums: accelerated method requires mu > 0")
+    try:
+        h_scale = 2.0 * math.pi**2 * mu ** (-1.5)  # the factor of b1 in h
+    except OverflowError:
+        h_scale = math.inf
+    if h_scale == math.inf:
+        raise DomainError("critical_sums: mu underflows double precision")
     tol = cfg.target_abs_tol
     beta = beta_constant().value
     sm = math.sqrt(mu)
@@ -606,10 +604,10 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
             ring = 0.0
         else:
             ring = 9.0 * M * M * math.sqrt(math.pi / (2.0 * arg)) * math.exp(-arg)
-        if ring < target or M * M * math.pi > cfg.max_bessel_terms:
+        if ring < target or M * M * math.pi > _MAX_BESSEL_TERMS:
             break
         M += 1
-    if M * M * math.pi > cfg.max_bessel_terms:
+    if M * M * math.pi > _MAX_BESSEL_TERMS:
         raise ToleranceUnreachableError(
             f"critical_sums(accelerated): image budget exhausted at mu={mu:g}"
         )
@@ -634,18 +632,18 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
         )
 
     f = math.pi * math.log(1.0 / mu) + beta + mu - 2.0 * math.pi * b0
-    h = math.pi / mu - 1.0 + 2.0 * math.pi**2 * mu ** (-1.5) * b1
+    h = math.pi / mu - 1.0 + h_scale * b1
     g = f - mu * h
     # truncation pieces (held against the target) vs rounding allowances
     # (reported only; they scale with the values themselves).  Every image
     # term is positive, so the kernel's relative bound carries over to b0
     # and b1.
     trunc_f = 2.0 * math.pi * tail_b
-    trunc_h = 2.0 * math.pi**2 * mu ** (-1.5) * tail_b * (M + 2)
+    trunc_h = h_scale * tail_b * (M + 2)
     round_f = 2.0 * math.pi * _BESSEL_REL_BOUND * b0 + 4e-16 * (
         abs(f) + math.pi * abs(math.log(mu)) + beta
     )
-    round_h = 2.0 * math.pi**2 * mu ** (-1.5) * _BESSEL_REL_BOUND * b1 + 4e-16 * (
+    round_h = h_scale * _BESSEL_REL_BOUND * b1 + 4e-16 * (
         abs(h) + math.pi / mu
     )
     if max(trunc_f, trunc_h, trunc_f + mu * trunc_h) > tol:
@@ -847,7 +845,7 @@ def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> 
 # ---------------------------------------------------------------------------
 
 
-def hardy_sum(eps: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SpecialValue:
+def hardy_sum(eps: float) -> SpecialValue:
     """sum' over Z^2 of |k|^{-2(1+eps)} via the factorization
     4 zeta(1+eps) beta_D(1+eps) (Hardy; valid for every eps > 0)."""
     if not (eps > 0.0):
@@ -887,8 +885,8 @@ def beta_constant() -> SpecialValue:
     return SpecialValue(v, 5e-14)
 
 
-#: Euler-Maclaurin starts a row tail only where a^2 + k2^2 >= _EM_RADIUS^2;
-#: the rows of smaller cuts reach that point by direct terms
+#: the smallest cut of the row kernel: from there every row tail starts at
+#: a^2 + k2^2 >= _EM_RADIUS^2, where Euler-Maclaurin holds to 2.5e-16
 _EM_RADIUS = 100
 _PAIR_BLOCK = 1 << 15  # (cut, row) pairs in one block of _partial_sums_at
 
@@ -963,34 +961,17 @@ def _row_tails(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t2, t4
 
 
-def _direct_rows(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The direct terms that carry a row tail out to radius R.
-
-    Returns X, D2 and D4: X[a] = ceil(sqrt(R^2 - a^2)) for 0 <= a <= R,
-    D2[a, x - 1] = sum over x <= k < X[a] of 1/(a^2 + k^2) for
-    1 <= x <= R (zero from x = X[a] on), and D4 the same with the square.
-    """
-    a = np.arange(R + 1.0)
-    X = np.ceil(np.sqrt(R * R - a * a))
-    k = np.arange(1.0, R + 1.0)
-    q = np.add.outer(a * a, k * k)
-    inside = k < X[:, None]
-    D2 = np.where(inside, 1.0 / q, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    D4 = np.where(inside, 1.0 / (q * q), 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return X, D2, D4
-
-
 def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S2(m), the sum of |k|^-2 over 0 < |k|^2 <= m, and S_high(m), the sum
-    of |k|^-4 over |k|^2 > m, for an array of integers m >= 0.
+    of |k|^-4 over |k|^2 > m, for an array of integers m >= 100^2.
 
     Row k1 = +-a of a cut holds |k2| <= K = isqrt(m - a^2).  Each row is
     closed in k2: its part of S2 is the full row
     sum_{k2} 1/(a^2 + k2^2) = pi coth(pi a)/a (2 zeta(2) for a = 0, which
     drops k2 = 0) less twice the tail T2 over k2 > K, and its part of
-    S_high is twice the tail T4.  The tails are direct terms while
-    a^2 + k2^2 < 100^2, then Euler-Maclaurin (:func:`_row_tails`, first
-    omitted term below 2.5e-16 of each tail).  The rows |k1| > A = isqrt(m) are whole: with
+    S_high is twice the tail T4.  As m >= 100^2, each tail starts at
+    a^2 + k2^2 > 100^2 and is summed by Euler-Maclaurin (:func:`_row_tails`,
+    first omitted term below 2.5e-16 of it).  The rows |k1| > A = isqrt(m) are whole: with
     sum_{k2} 1/(a^2 + k2^2)^2 = pi coth(pi a)/(2a^3)
     + pi^2 csch^2(pi a)/(2a^2) they add up to pi zeta(3, A + 1) plus their
     e^{-2 pi a} parts, summed up to a = 8.  So S_high is summed term by
@@ -1015,9 +996,6 @@ def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ex_past = np.append(ex[::-1].cumsum()[::-1], 0.0)  # sum over a > A, for A = 0 .. 8
     beyond = np.array([math.pi * _hurwitz_zeta(3.0, Ai + 1.0) for Ai in A])
     beyond += ex_past[np.minimum(A, 8.0).astype(np.int64)]
-    R = _EM_RADIUS
-    if m.min() < R * R:
-        X, D2, D4 = _direct_rows(R)
 
     S2 = np.empty(len(m))
     S_high = np.empty(len(m))
@@ -1035,15 +1013,7 @@ def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.floor(x, out=x)
         x += 1.0  # the first k2 past the cut
         head = half_full[a.astype(np.int64)]
-        if m[j:k].min() < R * R:
-            ai = np.minimum(a, R).astype(np.int64)
-            xi = np.minimum(x, R).astype(np.int64) - 1
-            head -= D2[ai, xi]
-            t4 = D4[ai, xi]
-            t2, em4 = _row_tails(a, np.maximum(x, X[ai]))
-            t4 += em4
-        else:
-            t2, t4 = _row_tails(a, x)
+        t2, t4 = _row_tails(a, x)
         head -= t2
         # rows +-a count four times (both signs of k1 and of k2), row 0 twice
         S2[j:k] = 4.0 * np.add.reduceat(head, starts) - 2.0 * head[starts]
@@ -1052,8 +1022,9 @@ def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S2, S_high
 
 
-def partial_inverse_square_sum(N: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Sum of 1/|k|^2 over lattice points 0 < |k| <= N: the one-cut S2 of
+def partial_inverse_square_sum(N: float) -> float:
+    """Sum of 1/|k|^2 over lattice points 0 < |k| <= N: below N = 100 the
+    shells summed directly, from there the one-cut S2 of
     :func:`_partial_sums_at`, full rows less their tails."""
     if not (N >= 1.0):
         raise DomainError(f"partial_inverse_square_sum: need N >= 1, got {N!r}")
@@ -1061,7 +1032,11 @@ def partial_inverse_square_sum(N: float, cfg: PrecisionConfig = DEFAULT_CONFIG) 
         raise ResourceLimitError(
             f"partial_inverse_square_sum: N={N:g} exceeds the point budget"
         )
-    return float(_partial_sums_at(np.array([float(math.floor(N * N))]))[0][0])
+    m = math.floor(N * N)
+    if m < _EM_RADIUS**2:
+        q, c = _shells(2, _EM_RADIUS)
+        return math.fsum(c[q <= m] / q[q <= m])
+    return float(_partial_sums_at(np.array([float(m)]))[0][0])
 
 
 # ---------------------------------------------------------------------------

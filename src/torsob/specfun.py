@@ -43,8 +43,6 @@ __all__ = [
     "zeta_dirichlet",
     "dirichlet_beta",
     "dirichlet_beta_prime_at_1",
-    "log_gamma",
-    "erfc",
 ]
 
 #: Euler-Mascheroni constant, 20 correct digits.
@@ -482,31 +480,12 @@ def dirichlet_beta(s: float) -> SpecialValue:
 CATALAN = dirichlet_beta(2.0).value
 
 
-def zeta_dirichlet(s: float, laurent: bool = False) -> tuple[SpecialValue, SpecialValue]:
-    """Riemann zeta and Dirichlet beta at a common argument s.
-
-    For s > 1 both are evaluated directly.  With ``laurent=True`` and s = 1
-    the zeta slot carries the constant term of the Laurent expansion
-    zeta(1+eps) = 1/eps + gamma + O(eps), i.e. the Euler-Mascheroni
-    constant; the beta slot is beta_D(1) = pi/4.
-    """
-    if not (s > 0.0):
-        raise DomainError(f"zeta_dirichlet: need s > 0, got {s!r}")
-    if s > 1.0:
-        z = _riemann_zeta(s)
-        return (
-            SpecialValue(z, 4e-15 * abs(z)),
-            dirichlet_beta(s),
-        )
-    if laurent and s == 1.0:
-        return (
-            SpecialValue(EULER_GAMMA, 1e-16),
-            SpecialValue(math.pi / 4.0, 1e-16),
-        )
-    raise DomainError(
-        "zeta_dirichlet: zeta requires s > 1 (use laurent=True at s = 1 "
-        "for the expansion data)"
-    )
+def zeta_dirichlet(s: float) -> tuple[SpecialValue, SpecialValue]:
+    """Riemann zeta and Dirichlet beta at a common argument s > 1."""
+    if not (s > 1.0):
+        raise DomainError(f"zeta_dirichlet: zeta requires s > 1, got {s!r}")
+    z = _riemann_zeta(s)
+    return SpecialValue(z, 4e-15 * abs(z)), dirichlet_beta(s)
 
 
 def dirichlet_beta_prime_at_1() -> SpecialValue:
@@ -518,17 +497,3 @@ def dirichlet_beta_prime_at_1() -> SpecialValue:
         - 4.0 * math.lgamma(0.25)
     )
     return SpecialValue(v, 1e-14)
-
-
-def log_gamma(x: float) -> SpecialValue:
-    """log Gamma(x) for x > 0."""
-    if not (x > 0.0):
-        raise DomainError(f"log_gamma: need x > 0, got {x!r}")
-    v = math.lgamma(x)
-    return SpecialValue(v, max(4e-16 * abs(v), 1e-17))
-
-
-def erfc(x: float) -> SpecialValue:
-    """Complementary error function."""
-    v = math.erfc(x)
-    return SpecialValue(v, max(2e-16 * abs(v), 5e-324))

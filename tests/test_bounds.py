@@ -210,18 +210,19 @@ def test_mode_splitting_above_switch_matches_40_digit_sums(delta, cut):
 
 
 def test_row_kernel_matches_shell_sums_at_every_shell():
-    # every shell up to m = 2e5, across the enumeration switch: S2 against
-    # the running sum of the path below the switch (itself off by up to
-    # 7.7e-15 there), S_high against the shells above each cut summed
-    # smallest first plus the 40-digit tail past the last shell.  Below
-    # m = 1e4 the row tails start at radius 100 after direct terms; without
-    # the f^(5) Euler-Maclaurin term S_high is off by 9e-14 near m = 1e4
+    # every shell from the kernel's smallest cut m = 1e4 up to m = 2e5,
+    # across the enumeration switch: S2 against the running sum of the path
+    # below the switch (itself off by up to 7.7e-15 there), S_high against
+    # the shells above each cut summed smallest first plus the 40-digit tail
+    # past the last shell.  Without the f^(5) Euler-Maclaurin term S_high is
+    # off by 9e-14 near m = 1e4
     m_cap = 200_000
     q, c = _shells(2, math.isqrt(m_cap) + 1)
     n = int(np.searchsorted(q, float(m_cap), side="right"))
     q, c = q[:n], c[:n]
-    S2, S_high = _partial_sums_at(q)
-    S2_run = np.cumsum(c / q)
+    cuts = q >= 1e4
+    S2, S_high = _partial_sums_at(q[cuts])
+    S2_run = np.cumsum(c / q)[cuts]
     assert np.max(np.abs(S2 - S2_run) / S2_run) < 1e-14
     t4 = c / (q * q)
     with mp.workdps(40):
@@ -229,7 +230,7 @@ def test_row_kernel_matches_shell_sums_at_every_shell():
         past = float(4 * mp.zeta(2) * mp.catalan - inside)
     above = np.zeros(n)
     above[:-1] = np.cumsum(t4[:0:-1])[::-1]
-    ref = past + above
+    ref = (past + above)[cuts]
     assert np.max(np.abs(S_high - ref) / ref) < 1e-14
 
 

@@ -7,6 +7,8 @@ Stdout tables carry `#`-comment headers including a manifest sha256 that
 depends only on the canonical parameters, so repeat runs are byte-stable.
 """
 
+import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -191,7 +193,7 @@ def test_config_file_and_tol_precedence(tmp_path):
 @pytest.mark.parametrize(
     "line",
     ["max_radius = inf", "max_radius = 1e400", "max_radius = 3000.5",
-     "max_bessel_terms = nan", "max_bessel_terms = 2.5"],
+     "max_radius = nan"],
 )
 def test_config_integer_keys_refuse_non_integers(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -211,6 +213,63 @@ def test_config_integer_keys_accept_integral_floats(tmp_path):
     assert code == 0
     man = json.loads((tmp_path / "out.manifest.json").read_text())
     assert man["config"]["max_radius"] == 3000
+
+
+def test_config_keys_are_the_two_that_act(tmp_path, capsys):
+    assert cli._CONFIG_FIELDS == {"target_abs_tol": float, "max_radius": int}
+    old = tmp_path / "old.cfg"
+    old.write_text("root_tol = 1e-13\n")
+    code = cli.main(["theta", "--model", "theta0", "--delta-grid", "2:2:1",
+                     "--config", str(old)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("torsob: domain-error:") and "unknown config key" in err
+
+
+def _sources() -> dict:
+    return {p: p.read_text() for p in sorted((SRC / "torsob").glob("*.py"))}
+
+
+def test_every_config_field_is_read():
+    text = "".join(_sources().values())
+    for field in dataclasses.fields(cli.PrecisionConfig):
+        assert f"cfg.{field.name}" in text, field.name
+
+
+def test_no_function_takes_a_config_it_never_reads():
+    unread = []
+    for path, text in _sources().items():
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if "cfg" in [a.arg for a in fn.args.args + fn.args.kwonlyargs] and not any(
+                isinstance(n, ast.Name) and n.id == "cfg"
+                for stmt in fn.body for n in ast.walk(stmt)
+            ):
+                unread.append(f"{path.name}:{fn.name}")
+    assert unread == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e200"])
+def test_verify_bad_coefficients_exit_code(tmp_path, value):
+    modes = tmp_path / "bad.txt"
+    modes.write_text(f"1 0 {value} 0\n-1 0 {value} 0\n")
+    for inequality in ("loglog", "alg:2:3"):
+        r = run_cli("verify", "--input", str(modes), "--inequality", inequality)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("torsob: domain-error: FourierInput:")
+        assert len(r.stderr.splitlines()) == 1 and r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("field", "--mu", "1e-300", "--resolution", "32"),
+     ("theta", "--model", "exact", "--delta-grid", "1e300:1e300:1")],
+)
+def test_tiny_mu_exit_code(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr == "torsob: domain-error: critical_sums: mu underflows double precision\n"
 
 
 def _count_calls(monkeypatch, module, name) -> list:

@@ -155,10 +155,9 @@ def test_unreached_delta_maps_to_cli_tolerance_unreachable(monkeypatch, capsys):
 def test_delta_root_checks_the_residual():
     # Brent's method converges onto a jump of the map, which never reaches 1
     jump = lambda x: 0.0 if x < 0.3 else 2.0  # noqa: E731
-    cfg = curve.DEFAULT_CONFIG
     with pytest.raises(ToleranceUnreachableError, match="root residual"):
-        curve._delta_root(jump, 1.0, [-1.0], [1.0], False, 1e-15, 1e-11, cfg, "jump")
-    assert curve._delta_root(lambda x: 1.0 + x, 1.0, [-1.0], [1.0], False, 1e-15, 0.0, cfg,
+        curve._delta_root(jump, 1.0, [-1.0], [1.0], False, 1e-15, 1e-11, "jump")
+    assert curve._delta_root(lambda x: 1.0 + x, 1.0, [-1.0], [1.0], False, 1e-15, 0.0,
                              "line") == 0.0
 
 

@@ -13,6 +13,7 @@ The general (d,n) triple screens with q^n:
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,15 @@ def test_critical_negative_branch():
         critical_sums(0.0)
 
 
+@pytest.mark.parametrize("mu", [1e-205, 1e-300, 5e-324])
+def test_critical_tiny_mu_underflows_like_general_sums(mu):
+    # 2 pi^2 mu^-1.5 in h leaves double range from mu = 2.3e-205 down
+    with pytest.raises(DomainError, match="mu underflows double precision"):
+        critical_sums(mu)
+    s = critical_sums(1e-204)
+    assert all(math.isfinite(sv.value) for sv in (s.f, s.g, s.h))
+
+
 def test_critical_error_bounds_reported():
     s = critical_sums(0.7)
     for sv in (s.f, s.g, s.h):
@@ -184,8 +194,6 @@ def test_general_sums_h_keeps_shells_with_small_x(d, n, mu):
     # the |k| = 1 shell sits at x = mu |k|^{2n} near 1e-23 and 2e-18, where
     # 1 - 1/(1 + x) rounds to 0, yet it carries almost all of h; compare with
     # a 50-digit sum over |k_i| <= 6 (the omitted terms are below 1e-40)
-    import mpmath as mp
-
     with mp.workdps(50):
         ks = [mp.mpf(k) ** 2 for k in range(-6, 7)]
         qs = ks if d == 1 else [a + b for a in ks for b in ks]
@@ -450,13 +458,17 @@ def test_next_representable_property(m):
 
 
 def test_partial_inverse_square_brute():
-    truth = 0.0
-    for i in range(-10, 11):
-        for j in range(-10, 11):
-            q = i * i + j * j
-            if 0 < q <= 100:
-                truth += 1.0 / q
-    assert abs(partial_inverse_square_sum(10.0) - truth) < 1e-12
+    # below N = 100 the shells are summed directly, from there the row kernel
+    for N in (1.0, 1.5, 10.0, 37.3, 99.99, 100.0, 130.5):
+        K = math.floor(N)
+        with mp.workdps(40):
+            truth = mp.fsum(
+                mp.mpf(1) / (i * i + j * j)
+                for i in range(-K, K + 1)
+                for j in range(-K, K + 1)
+                if 0 < i * i + j * j <= N * N
+            )
+        assert abs(partial_inverse_square_sum(N) - truth) < 1e-15 * truth
 
 
 def test_partial_inverse_square_log_growth():

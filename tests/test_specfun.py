@@ -15,9 +15,7 @@ from torsob.specfun import (
     bessel_k,
     dirichlet_beta,
     dirichlet_beta_prime_at_1,
-    erfc,
     lambert_w,
-    log_gamma,
     zeta_dirichlet,
 )
 
@@ -126,13 +124,6 @@ def test_zeta_pair_frozen_three_halves():
     check_sv(b, 0.8645026534612018, slack=8.0)
 
 
-def test_zeta_laurent_constant_term():
-    z, b = zeta_dirichlet(1.0, laurent=True)
-    # zeta(1+eps) = 1/eps + gamma + O(eps): the finite slot is gamma
-    check_sv(z, EULER_GAMMA)
-    check_sv(b, math.pi / 4.0)
-
-
 def test_zeta_pole_rejected_without_laurent():
     with pytest.raises(DomainError):
         zeta_dirichlet(1.0)
@@ -168,23 +159,3 @@ def test_bessel_k_domain():
         bessel_k(0, 0.0)
     with pytest.raises(DomainError):
         bessel_k(2, 1.0)
-
-
-# ------------------------------------------------------ erfc and log-gamma
-
-
-@given(st.floats(min_value=-5.0, max_value=8.0))
-@settings(max_examples=50, deadline=None)
-def test_erfc_matches_math(x):
-    assert abs(erfc(x).value - math.erfc(x)) <= 1e-14 + 1e-12 * abs(math.erfc(x))
-
-
-@pytest.mark.parametrize("x", [0.25, 1.0, 4.3, 17.0])
-def test_log_gamma_matches_math(x):
-    assert abs(log_gamma(x).value - math.lgamma(x)) < 4e-15 * max(1.0, abs(math.lgamma(x)))
-
-
-def test_log_gamma_quarter_relation():
-    # Gamma(1/4)Gamma(3/4) = pi/sin(pi/4) = pi*sqrt(2)
-    s = log_gamma(0.25).value + log_gamma(0.75).value
-    assert abs(s - math.log(math.pi * math.sqrt(2.0))) < 1e-14
