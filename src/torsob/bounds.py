@@ -28,6 +28,7 @@ from .lattice import (
     DEFAULT_CONFIG,
     PrecisionConfig,
     TailDescriptor,
+    _dot,
     _largest_two_squares,
     _partial_sums_at,
     _shells,
@@ -91,7 +92,7 @@ def _mixed_sum(mu: float, eps: float, cfg: PrecisionConfig) -> float:
         )
     q, c = _shells(2, radius)
     desc = TailDescriptor(kind="hardy_mixed", mu=mu, eps=eps)
-    body = float(np.dot(c, desc.evaluate(q)))
+    body = _dot(c, desc.evaluate(q))
     lo, hi = tail_bracket(float(radius), desc, cfg)
     return body + 0.5 * (lo + hi)
 

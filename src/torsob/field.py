@@ -33,6 +33,7 @@ from .lattice import (
     CaseDN,
     PrecisionConfig,
     TailDescriptor,
+    _dot,
     _shells,
     critical_sums,
     tail_bracket,
@@ -241,7 +242,7 @@ def _extremal_cached(
         sup_value=_refined_sup(values),
         grad_norm_sq=four_pi_sq * triple.g.value,
         lap_norm_sq=four_pi_sq * triple.h.value,
-        l2_norm_sq=four_pi_sq * float(np.dot(c, w * w)),
+        l2_norm_sq=four_pi_sq * _dot(c, w * w),
     )
 
 

@@ -20,7 +20,9 @@ Three kernels sit under these sums, each written once: the shell table
 at a time from the closed-form d = 1 table), the theta splitting of the
 full-lattice moments (:func:`_epstein_theta_split`), and the tail moments
 taken as full-lattice moment minus partial sum, clipped into their
-integral bracket (:func:`_clipped_moment`).
+integral bracket (:func:`_clipped_moment`).  Every dot product (BLAS call)
+of the package goes through :func:`_dot`, whose summation order does not
+depend on the BLAS thread count.
 
 Error accounting: every returned component carries an absolute error bound
 assembled from (i) closed-form integral brackets on the discarded tail,
@@ -115,6 +117,36 @@ class CaseDN:
             raise DomainError(
                 f"CaseDN: inadmissible pair (d={self.d}, n={self.n}); need 2n - d > 0"
             )
+
+
+# ---------------------------------------------------------------------------
+# the one dot product of the package
+# ---------------------------------------------------------------------------
+
+# OpenBLAS's ddot runs on one thread for n <= 10000 and splits longer
+# vectors over its thread pool, which changes the summation order
+_DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i of two 1-D float64 arrays, in an order fixed by the
+    code and not by the BLAS thread count.
+
+    The vectors are cut into blocks of _DOT_BLOCK, each reduced by np.dot
+    (one thread, so its order is the kernel's), and the block partials are
+    added exactly by math.fsum and rounded once; up to _DOT_BLOCK elements
+    there is one block, and the result is np.dot's (but for the sign of a
+    zero sum).  In any order, with u = 2^-53 and B = min(n, _DOT_BLOCK),
+
+        |_dot(a, b) - a.b| <= u |a.b| + (1 + u) gamma_B sum_i |a_i b_i|,
+
+    gamma_B = B u / (1 - B u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1 and 4.2).
+    """
+    return math.fsum(
+        float(np.dot(a[s : s + _DOT_BLOCK], b[s : s + _DOT_BLOCK]))
+        for s in range(0, len(a), _DOT_BLOCK)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +399,7 @@ def tail_bracket(
     while True:
         q, c = _shells(2, r_ext)
         cut = np.searchsorted(q, r_done * r_done, side="right")
-        exact += float(np.dot(c[cut:], descriptor.evaluate(q[cut:])))
+        exact += _dot(c[cut:], descriptor.evaluate(q[cut:]))
         r_done = float(r_ext)
         lo, hi = _bracket_beyond(descriptor, r_done)
         if hi - lo <= cfg.target_abs_tol or r_ext >= r_cap:
@@ -462,7 +494,7 @@ def _clipped_moment(
     (estimate, error, noise); error == noise exactly in the first case.
     """
     full = _full_moment(d, j)
-    partial = float(np.dot(c, q ** (-float(j))))
+    partial = _dot(c, q ** (-float(j)))
     noise = full.abs_error_bound + 1.6e-15 * (abs(full.value) + partial)
     if noise < hi - lo:
         return min(max(full.value - partial, lo), hi), noise, noise
@@ -512,9 +544,9 @@ def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
         else:
             q, c = q_all, c_all
         qe = q + eps
-        s1 = float(np.dot(c, 1.0 / (q * qe)))
-        s2 = float(np.dot(c, 1.0 / (q * qe * qe)))
-        s3 = float(np.dot(c, 1.0 / (qe * qe)))
+        s1 = _dot(c, 1.0 / (q * qe))
+        s2 = _dot(c, 1.0 / (q * qe * qe))
+        s3 = _dot(c, 1.0 / (qe * qe))
 
         # tail moments are over the full lattice; the excluded resonant
         # shell (if any) sits far inside the truncation radius.
@@ -616,8 +648,8 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     args = t1 * r
     keep = args < 740.0
     k0, k1 = _bessel_k01(args[keep])
-    b0 = float(np.dot(c[keep], k0))
-    b1 = float(np.dot(c[keep], r[keep] * k1))
+    b0 = _dot(c[keep], k0)
+    b1 = _dot(c[keep], r[keep] * k1)
     # geometric bound for everything beyond radius M (ratio e^{-t1} per step)
     argM = t1 * (M + 1)
     if argM > 700.0:
@@ -791,7 +823,7 @@ def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> 
     """[general_sums(case, mu, cfg) for mu in mus], bit for bit.  Every
     radius is picked (or refused) before any shell is summed; the mus at
     one radius share a shell pass in row blocks, each row reduced by the
-    1-D dot a single mu uses; the tail terms of each (order, radius) are
+    :func:`_dot` a single mu uses; the tail terms of each (order, radius) are
     computed once per call, or per dict tails passed to several calls."""
     d, n = case.d, case.n
     if d > 3:
@@ -817,7 +849,7 @@ def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> 
                 fg += 1.0
                 fg = np.divide(t, fg, out=fg)
                 for i, t_i, fg_i in zip(block, t, fg):
-                    shell_sums[i] = [float(np.dot(c, v)) for v in (t_i, t_i * t_i, fg_i)]
+                    shell_sums[i] = [_dot(c, v) for v in (t_i, t_i * t_i, fg_i)]
                 del x, t, fg, t_i, fg_i  # free the block: a row view keeps its array
 
     out = []

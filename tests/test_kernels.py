@@ -9,14 +9,20 @@ is torsob's own: it is checked against 30-digit references and against
 scipy within its stated bound, not bit for bit.  The import tests run in
 child processes and guard that ``import torsob``, CLI calls with and
 without Bessel evaluations, and ``g0_value`` load no scipy module.
+``lattice._dot`` is the package's one dot product: it is checked against
+np.dot and against exact sums, every other BLAS call is ruled out by a
+source scan, and child processes under different OpenBLAS thread counts
+must print the same bits.
 """
 
+import ast
 import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -28,6 +34,7 @@ from scipy.special import k0 as scipy_k0, k1 as scipy_k1, zeta as scipy_zeta
 from torsob import cli, curve
 from torsob._optim import brentq, envelope_max
 from torsob.errors import DomainError, ToleranceUnreachableError
+from torsob.lattice import _DOT_BLOCK, _dot
 from torsob.specfun import (
     _BESSEL_REL_BOUND,
     _TRAP_V2,
@@ -476,8 +483,8 @@ def test_bessel_rounding_mean_largest_at_infinity():
 # ---------------------------------------------------------- import hygiene
 
 
-def _child(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def _child(code: str, **env_vars: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
@@ -560,3 +567,150 @@ def test_bessel_calls_load_no_scipy(argv, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------- the dot product
+
+_U = 2.0**-53
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, _DOT_BLOCK - 1, _DOT_BLOCK])
+def test_dot_is_np_dot_up_to_one_block(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), rng.normal(size=n)
+    assert _dot(a, b) == float(np.dot(a, b))
+    assert _dot(a[::-1], b[::-1]) == float(np.dot(a[::-1], b[::-1]))
+
+
+@pytest.mark.parametrize("n", [_DOT_BLOCK + 1, 10**5 + 3, 10**6])
+def test_dot_of_exact_block_partials_is_the_rounded_sum(n):
+    # integers below 2^20: every product and every partial of one block is
+    # exact, so the only rounding is the one of math.fsum, and the result is
+    # the correctly rounded sum of all n products (for n >= 10^5 the total
+    # passes 2^53, so that rounding acts)
+    rng = np.random.default_rng(n)
+    ia, ib = rng.integers(0, 2**20, n), rng.integers(0, 2**20, n)
+    exact = int(np.dot(ia, ib))  # int64: below n 2^40 < 2^63
+    assert n < 10**5 or exact > 2**53
+    assert _dot(ia.astype(np.float64), ib.astype(np.float64)) == float(exact)
+
+
+def test_dot_adds_block_partials_exactly():
+    # block partials 2^60 and 121 times 8292, each exact; added one by one
+    # to an accumulator that holds 2^60 (ulp 256), each 8292 rounds to 8192,
+    # and the lost 100s add up to more than an ulp of the total
+    a = np.ones(122 * _DOT_BLOCK)
+    a[0] = 2.0**30
+    b = np.ones_like(a)
+    b[:_DOT_BLOCK] = 0.0
+    b[0] = 2.0**30
+    b[2 * _DOT_BLOCK - 1 :: _DOT_BLOCK] = 101.0
+    partials = [2.0**60] + [float(_DOT_BLOCK - 1 + 101)] * 121
+    exact = float(sum(map(Fraction, partials)))
+    assert sum(partials) != exact
+    assert float(np.add.reduce(partials)) != exact
+    assert _dot(a, b) == exact
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_dot_within_stated_bound_of_exact_sum(n):
+    # dyadic inputs with 21-bit mantissas: each product is exact in float64,
+    # so math.fsum of the products is the correctly rounded exact sum;
+    # exponents over 2^-30..2^30 make the block partials round
+    rng = np.random.default_rng(n)
+    a = rng.integers(-(2**20), 2**20, n) * np.exp2(rng.integers(-30, 31, n))
+    b = rng.integers(-(2**20), 2**20, n) * np.exp2(rng.integers(-30, 31, n))
+    prods = a * b
+    ref = math.fsum(prods)
+    gamma = _DOT_BLOCK * _U / (1.0 - _DOT_BLOCK * _U)
+    # the _dot docstring's bound, and the rounding of ref itself
+    bound = 2.0 * _U * abs(ref) * (1.0 + 2.0 * _U) + (1.0 + _U) * gamma * math.fsum(np.abs(prods))
+    assert abs(_dot(a, b) - ref) <= bound
+
+
+_BLAS_NAMES = frozenset({"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "linalg"})
+
+
+def _blas_calls(tree: ast.AST, skip: ast.AST | None = None) -> list[int]:
+    """Lines of tree that name a BLAS routine or use @, outside skip."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            names = ["matmul"] if isinstance(node.op, ast.MatMult) else []
+        else:
+            continue
+        if _BLAS_NAMES.intersection(names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_blas_guard_sees_every_form():
+    sample = (
+        "import numpy.linalg\nfrom numpy import inner\n"
+        "x = np.dot(a, b)\ny = a @ b\ny @= b\nz = a.dot(b)\n"
+        "w = np.einsum('i,i', a, b) + np.vdot(a, b) + np.tensordot(a, b, 1)\n"
+        "v = np.matmul(a, b) + np.linalg.norm(a) + inner(a, b)\n"
+        "@lru_cache\ndef f(a, b):\n    return np.add.reduce(a * b)\n"
+    )
+    assert _blas_calls(ast.parse(sample)) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_no_blas_call_outside_dot():
+    found = []
+    for path in sorted((SRC / "torsob").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = next(
+            (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_dot"),
+            None,
+        )
+        if path.name == "lattice.py":
+            assert skip is not None
+        found += [f"{path.name}:{line}" for line in _blas_calls(tree, skip)]
+    assert found == []
+
+
+# every value but the field's l2 takes a dot product over more than 10^4
+# shells, where OpenBLAS splits np.dot over its threads
+_THREAD_PROBE = """
+    from torsob.algebraic import remainder_constant
+    from torsob.bounds import elementary_comparison
+    from torsob.field import extremal_field
+    from torsob.lattice import CaseDN, critical_sums, general_sums
+    direct = critical_sums(0.3, "direct")
+    batch = general_sums(CaseDN(3, 2), 6.0**-4)
+    comparison = elementary_comparison(0.01)
+    values = [
+        *(v.value for v in (direct.f, direct.g, direct.h, batch.f, batch.g, batch.h)),
+        extremal_field(0.5, 64).l2_norm_sq,
+        comparison.A,
+        comparison.B,
+        remainder_constant(CaseDN(3, 2)).K,
+    ]
+    print(" ".join(float(v).hex() for v in values))
+"""
+
+
+def _probe(threads: str) -> str:
+    r = _child(_THREAD_PROBE, OPENBLAS_NUM_THREADS=threads)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_sums_do_not_depend_on_the_blas_thread_count():
+    one = _probe("1")
+    two = _probe("2")
+    four = _probe("4")
+    assert len(one.split()) == 10
+    assert two == one
+    assert four == one
