@@ -39,8 +39,10 @@ from .algebraic import (
     deviation,
     expansion_dn,
     leading_constant,
+    lowest_shell_theta,
     positive_crossings,
     remainder_constant,
+    remainder_upper_bound,
     shifted_deviation,
     theta_dn,
 )
@@ -87,7 +89,6 @@ from .lattice import (
     CaseDN,
     PrecisionConfig,
     SumTriple,
-    TailDescriptor,
     beta_constant,
     critical_sums,
     general_sums,
@@ -133,7 +134,6 @@ __all__ = [
     # lattice sums
     "SumTriple",
     "CaseDN",
-    "TailDescriptor",
     "critical_sums",
     "general_sums",
     "hardy_sum",
@@ -167,6 +167,8 @@ __all__ = [
     # algebraic remainder constants
     "RemainderReport",
     "leading_constant",
+    "remainder_upper_bound",
+    "lowest_shell_theta",
     "delta_plateau",
     "theta_dn",
     "expansion_dn",

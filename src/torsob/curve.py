@@ -295,8 +295,8 @@ def _invert_model(tag: str, delta: float) -> float:
 def _model_sample(model: str, delta: float, cfg: PrecisionConfig) -> ThetaSample:
     """The sample at which the exact curve or a closed-form model reaches
     delta >= 1: the root of its own solve, or the endpoint mu = -1."""
-    if not (delta >= 1.0):
-        raise DomainError(f"theta_model: need delta >= 1, got {delta!r}")
+    if not (1.0 <= delta < math.inf):
+        raise DomainError(f"theta_model: need finite delta >= 1, got {delta!r}")
     if model == "exact":
         return theta_point(-1.0) if delta == 1.0 else _solve_eps(delta, cfg)
     mu = math.exp(_invert_model(model, delta))
@@ -319,9 +319,9 @@ def theta_model(
     if model not in MODELS:
         raise DomainError(f"theta_model: unknown model {model!r}")
     if model == "loglog_asymptotic":
-        if not (delta > 1.0):
+        if not (1.0 < delta < math.inf):
             raise DomainError(
-                "theta_model(loglog_asymptotic): requires delta > 1"
+                f"theta_model(loglog_asymptotic): need finite delta > 1, got {delta!r}"
             )
         ld = math.log(delta)
         lld = math.log(ld)

@@ -13,6 +13,14 @@ which maps them to process exit codes):
 
 from __future__ import annotations
 
+__all__ = [
+    "TorsobError",
+    "DomainError",
+    "InputFormatError",
+    "ToleranceUnreachableError",
+    "ResourceLimitError",
+]
+
 
 class TorsobError(Exception):
     """Base class for all errors raised by this package."""

@@ -32,7 +32,6 @@ from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
-    TailDescriptor,
     _dot,
     _shells,
     critical_sums,
@@ -195,12 +194,12 @@ def _certified_radius(mu: float, cfg: PrecisionConfig) -> int:
     """Smallest radius R on a x1.6 ladder from 64 at which the l2 sum
     sum' 1/(k^2 (1 + mu k^2))^2 over |k| <= R is within cfg.target_abs_tol.
 
-    Beyond R, k^2 > R^2, so the neglected part is at most the rigorous
-    screened_g tail bracket divided by R^2.
+    Beyond R, k^2 > R^2, so the neglected part is at most the top of the
+    screened-g tail bracket (:func:`~torsob.lattice.tail_bracket`) divided
+    by R^2.
     """
-    tail = TailDescriptor("screened_g", mu=mu)
     R = min(64, cfg.max_radius)
-    while tail_bracket(R, tail)[1] / (R * R) > cfg.target_abs_tol:
+    while tail_bracket(R, mu)[1] / (R * R) > cfg.target_abs_tol:
         if R >= cfg.max_radius:
             raise ToleranceUnreachableError(
                 f"extremal_field: cannot certify the l2 norm at mu={mu:g} "

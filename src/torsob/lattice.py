@@ -25,11 +25,18 @@ of the package goes through :func:`_dot`, whose summation order does not
 depend on the BLAS thread count.
 
 Error accounting: every returned component carries an absolute error bound
-assembled from (i) closed-form integral brackets on the discarded tail,
-(ii) explicit bounds on omitted expansion orders, and (iii) a floating
-rounding allowance proportional to the accumulated magnitude.  Tail
-brackets never subtract two nearly equal precomputed constants, so there
-is no hidden cancellation noise in the certificates.
+assembled from its tail error, explicit bounds on omitted expansion orders,
+and a rounding allowance proportional to the accumulated magnitude.  Three
+mechanisms close a tail past an enumeration radius: the cell sandwich
+(:func:`_power_tail_bracket`, :func:`tail_bracket`) puts a radially
+decreasing tail between two closed-form integrals over annuli that cover
+the lattice cells; the clipped moments (:func:`_clipped_moment`) subtract a
+partial sum from the full-lattice moment and charge the noise of that
+cancellation, near 1e-14 of the moment, whenever it is below the sandwich
+width; and the 1/x expansion 1/(1 + x) = sum_m (-1)^{m+1} x^{-m}, with
+x = mu |k|^{2n} large on the tail, turns a screened tail into moments and
+bounds its omitted orders by the first of them (or by a geometric factor
+where the signs do not alternate).
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ __all__ = [
     "beta_constant",
     "partial_inverse_square_sum",
     "tail_bracket",
-    "TailDescriptor",
     "r2_count",
     "next_representable",
     "is_representable",
@@ -257,155 +263,38 @@ def _power_tail_bracket(d: int, p: float, radius: float) -> tuple[float, float]:
     return lower, upper
 
 
-# tail integrals for the 2D screened kernels; all are int over (a, inf).
+def tail_bracket(R: float, mu: float) -> tuple[float, float]:
+    """Rigorous lower/upper bounds for the sum over |k| > R of Z^2 of the
+    screened-g summand S(|k|) = 1/(|k|^2 (1 + mu |k|^2)^2), mu > 0.
 
-
-def _int_h_tail(mu: float, a: float) -> float:
-    # int_a^inf ds / (1 + mu s^2)^2
-    sm = math.sqrt(mu)
-    return (
-        math.pi / (4.0 * sm)
-        - a / (2.0 * (1.0 + mu * a * a))
-        - math.atan(sm * a) / (2.0 * sm)
-    )
-
-
-def _int_atan_tail(mu: float, a: float) -> float:
-    # int_a^inf ds / (1 + mu s^2)
-    sm = math.sqrt(mu)
-    return (math.pi / 2.0 - math.atan(sm * a)) / sm
-
-
-def _radial_integrals(descriptor: "TailDescriptor", a: float) -> tuple[float, float]:
-    """(int_a^inf s S(s) ds, int_a^inf S(s) ds) for the 2D descriptor."""
-    kind = descriptor.kind
-    mu = descriptor.mu
-    if kind == "screened_h":
-        # S = 1/(1+mu s^2)^2
-        return 1.0 / (2.0 * mu * (1.0 + mu * a * a)), _int_h_tail(mu, a)
-    if kind == "screened_f":
-        # S = 1/(s^2 (1+mu s^2))
-        first = 0.5 * math.log1p(1.0 / (mu * a * a))
-        second = 1.0 / a - math.sqrt(mu) * (
-            math.pi / 2.0 - math.atan(math.sqrt(mu) * a)
-        )
-        return first, second
-    if kind == "screened_g":
-        # S = 1/(s^2 (1+mu s^2)^2) = 1/s^2 - mu/(1+mu s^2) - mu/(1+mu s^2)^2
-        t = mu * a * a
-        first = 0.5 * (math.log1p(1.0 / t) - 1.0 / (1.0 + t))
-        second = 1.0 / a - mu * _int_atan_tail(mu, a) - mu * _int_h_tail(mu, a)
-        return first, second
-    raise DomainError(f"no closed tail integrals for descriptor kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class TailDescriptor:
-    """Radially decreasing summand selector for :func:`tail_bracket`.
-
-    kinds (all on Z^2):
-      - ``inverse_power``: |k|^{-p}, p > 2
-      - ``screened_f``:    1/(|k|^2 (1 + mu |k|^2))
-      - ``screened_g``:    1/(|k|^2 (1 + mu |k|^2)^2)
-      - ``screened_h``:    1/(1 + mu |k|^2)^2
-      - ``hardy_mixed``:   1/(|k|^{2(1-eps)} (1 + mu |k|^2)), 0 < eps < 1
-    """
-
-    kind: str
-    p: float = 0.0
-    mu: float = 0.0
-    eps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (
-            "inverse_power",
-            "screened_f",
-            "screened_g",
-            "screened_h",
-            "hardy_mixed",
-        ):
-            raise DomainError(f"unknown tail descriptor kind {self.kind!r}")
-        if self.kind == "inverse_power" and not self.p > 2.0:
-            raise DomainError("inverse_power tail needs p > 2 in two dimensions")
-        if self.kind != "inverse_power" and not self.mu > 0.0:
-            raise DomainError(f"{self.kind} tail needs mu > 0 (monotone screen)")
-        if self.kind == "hardy_mixed" and not 0.0 < self.eps < 1.0:
-            raise DomainError("hardy_mixed tail needs 0 < eps < 1")
-
-    def evaluate(self, q: np.ndarray) -> np.ndarray:
-        """Summand as a function of the squared radius array q."""
-        mu = self.mu
-        if self.kind == "inverse_power":
-            return q ** (-self.p / 2.0)
-        if self.kind == "screened_f":
-            return 1.0 / (q * (1.0 + mu * q))
-        if self.kind == "screened_g":
-            return 1.0 / (q * (1.0 + mu * q) ** 2)
-        if self.kind == "screened_h":
-            return 1.0 / (1.0 + mu * q) ** 2
-        return q ** (self.eps - 1.0) / (1.0 + mu * q)
-
-
-def _bracket_beyond(descriptor: TailDescriptor, radius: float) -> tuple[float, float]:
-    """Pure sandwich bracket for the tail beyond ``radius`` (no enumeration)."""
-    if descriptor.kind == "inverse_power":
-        return _power_tail_bracket(2, descriptor.p, radius)
-    if descriptor.kind == "hardy_mixed":
-        # enclose the screen between power laws: for mu s^2 >= 9,
-        # 1/(1+mu s^2) in [ (1 - 1/(mu a^2)) , 1 ] / (mu s^2).
-        mu, eps = descriptor.mu, descriptor.eps
-        if mu * radius * radius < 9.0:
-            raise DomainError(
-                "hardy_mixed bracket requires radius >= 3/sqrt(mu); enlarge R"
-            )
-        p = 4.0 - 2.0 * eps
-        lo_p, hi_p = _power_tail_bracket(2, p, radius)
-        slack = 1.0 - 1.0 / (mu * radius * radius)
-        return slack * lo_p / mu, hi_p / mu
-    c = math.sqrt(2.0) / 2.0
-    a_lo = radius + math.sqrt(2.0)
-    a_hi = max(radius - math.sqrt(2.0), c)
-    i1_lo, i2_lo = _radial_integrals(descriptor, a_lo)
-    i1_hi, i2_hi = _radial_integrals(descriptor, a_hi)
-    lower = 2.0 * math.pi * (i1_lo - c * i2_lo)
-    upper = 2.0 * math.pi * (i1_hi + c * i2_hi)
-    return max(lower, 0.0), upper
-
-
-def tail_bracket(
-    R: float,
-    descriptor: TailDescriptor,
-    cfg: PrecisionConfig | None = None,
-) -> tuple[float, float]:
-    """Rigorous lower/upper bounds for sum over |k| > R of the descriptor.
-
-    With cfg omitted, this is the one-shot integral-comparison sandwich at
-    radius R.  When a config is supplied, the bracket is sharpened by
-    exactly enumerating shells in (R, R_ext] and sandwiching only beyond
-    R_ext; the extension stops once the width reaches cfg.target_abs_tol or
-    a point budget is hit, and the achieved (still rigorous) bracket is
-    returned.
+    This is the cell sandwich above for d = 2, at a = R + sqrt 2 (lower)
+    and a = R - sqrt 2 (upper), with the radial integrals int_a^inf s S ds
+    and int_a^inf S ds in closed form through
+    S(s) = 1/s^2 - mu/(1 + mu s^2) - mu/(1 + mu s^2)^2.
     """
     if not (R >= 2.0):
         raise DomainError("tail_bracket: need R >= 2")
-    lo, hi = _bracket_beyond(descriptor, R)
-    if cfg is None or hi - lo <= cfg.target_abs_tol:
-        return lo, hi
-    # extension: exact shells on (R, R_ext], sandwich beyond R_ext
-    r_cap = min(3500, max(int(4 * R), 256))
-    r_ext = min(max(int(R * 2), int(R) + 8), r_cap)
-    exact = 0.0
-    r_done = R
-    while True:
-        q, c = _shells(2, r_ext)
-        cut = np.searchsorted(q, r_done * r_done, side="right")
-        exact += _dot(c[cut:], descriptor.evaluate(q[cut:]))
-        r_done = float(r_ext)
-        lo, hi = _bracket_beyond(descriptor, r_done)
-        if hi - lo <= cfg.target_abs_tol or r_ext >= r_cap:
-            break
-        r_ext = min(int(r_ext * 1.6) + 1, r_cap)
-    return exact + lo, exact + hi
+    if not mu > 0.0:
+        raise DomainError("tail_bracket: need mu > 0 (monotone screen)")
+    sm = math.sqrt(mu)
+
+    def integrals(a: float) -> tuple[float, float]:
+        t = mu * a * a
+        first = 0.5 * (math.log1p(1.0 / t) - 1.0 / (1.0 + t))
+        atan_tail = (math.pi / 2.0 - math.atan(sm * a)) / sm  # int ds/(1 + mu s^2)
+        h_tail = (  # int ds/(1 + mu s^2)^2
+            math.pi / (4.0 * sm)
+            - a / (2.0 * (1.0 + mu * a * a))
+            - math.atan(sm * a) / (2.0 * sm)
+        )
+        return first, 1.0 / a - mu * atan_tail - mu * h_tail
+
+    c = math.sqrt(2.0) / 2.0
+    i1_lo, i2_lo = integrals(R + math.sqrt(2.0))
+    i1_hi, i2_hi = integrals(max(R - math.sqrt(2.0), c))
+    lower = 2.0 * math.pi * (i1_lo - c * i2_lo)
+    upper = 2.0 * math.pi * (i1_hi + c * i2_hi)
+    return max(lower, 0.0), upper
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +311,9 @@ def tail_bracket(
 # is excluded; the curve module reinstates its analytic limit.
 
 
-def _z2_moment(j: int) -> SpecialValue:
-    """Full-lattice moment sum' over Z^2 of |k|^{-2j} = 4 zeta(j) beta(j)."""
+def _z2_moment(j: float) -> SpecialValue:
+    """Full-lattice moment sum' over Z^2 of |k|^{-2j} = 4 zeta(j) beta(j),
+    for every real j > 1."""
     z, b = zeta_dirichlet(float(j))
     v = 4.0 * z.value * b.value
     err = 4.0 * (
@@ -472,17 +362,21 @@ def _z3_moment(j: int) -> SpecialValue:
     return sv
 
 
-def _full_moment(d: int, j: int) -> SpecialValue:
+def _full_moment(d: int, j: float) -> SpecialValue:
     """Full-lattice moment sum' over Z^d of |k|^{-2j} (d = 1, 2, 3; 2j > d):
     2 zeta(2j), :func:`_z2_moment` or :func:`_z3_moment`."""
     if d == 1:
         z, _ = zeta_dirichlet(2.0 * j)
         return SpecialValue(2.0 * z.value, 2.0 * z.abs_error_bound)
-    return _z2_moment(j) if d == 2 else _z3_moment(j)
+    if d == 2:
+        return _z2_moment(j)
+    if d == 3:
+        return _z3_moment(j)
+    raise DomainError(f"full-lattice moments need d in {{1, 2, 3}}, got d={d!r}")
 
 
 def _clipped_moment(
-    d: int, j: int, q: np.ndarray, c: np.ndarray, lo: float, hi: float
+    d: int, j: float, q: np.ndarray, c: np.ndarray, lo: float, hi: float
 ) -> tuple[float, float, float]:
     """The tail moment sum_{|k| > T} |k|^{-2j} over Z^d (d = 2, 3), given
     the shell table (q, c) up to T and the integral bracket [lo, hi].

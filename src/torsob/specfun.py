@@ -279,6 +279,8 @@ def lambert_w(branch: int, x: float) -> SpecialValue:
     """
     if branch not in (0, -1):
         raise DomainError(f"lambert_w: branch must be 0 or -1, got {branch!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"lambert_w: x must be finite, got {x!r}")
     if branch == 0:
         if x < -_INV_E - 4e-17:
             raise DomainError(f"lambert_w: x={x!r} below branch point -1/e")

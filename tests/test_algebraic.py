@@ -49,6 +49,15 @@ def test_delta_plateau_frozen_3d():
     assert abs(al.delta_plateau(CaseDN(3, 2)) - 2.380186168833987) < 1e-12
 
 
+def test_delta_plateau_needs_a_supported_dimension():
+    # the full-lattice moments exist for d = 1, 2, 3 only; d = 4 is refused,
+    # not answered with the d = 3 moments
+    with pytest.raises(DomainError):
+        al.delta_plateau(CaseDN(4, 3))
+    with pytest.raises(DomainError):
+        lattice._full_moment(5, 3)
+
+
 # ----------------------------------------------------------- theta curve
 
 

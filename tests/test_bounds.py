@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from torsob.bounds import (
+    _mixed_sum,
     alpha_constant,
     elementary_comparison,
     embedding_constant,
@@ -16,8 +17,10 @@ from torsob.bounds import (
     mode_splitting_bound,
 )
 from torsob.curve import loglog_lower_constant, theta_model
-from torsob.errors import DomainError
+from torsob.errors import DomainError, ToleranceUnreachableError
 from torsob.lattice import (
+    DEFAULT_CONFIG,
+    PrecisionConfig,
     _largest_two_squares,
     _partial_sums_at,
     _shells,
@@ -78,9 +81,35 @@ def test_elementary_comparison_dominance_and_limit():
 
 
 def test_elementary_comparison_frozen():
+    # B = C(eps) M at the argmin, where M = 11.276335059354915490438249896
+    # (MIXED_REFERENCES below)
     ec = elementary_comparison(0.3)
     assert abs(ec.A - 44.45258590471209) < 1e-8
-    assert abs(ec.B - 121.23278844155571) < 1e-8
+    assert abs(ec.B - 121.23279528610561) < 1e-8
+
+
+# M(mu, eps) in mpmath at 45 digits: the shells to T summed exactly, the tail
+# by the 1/x series on the moments 4 zeta(j) beta(j) less their partial sums;
+# T = 300 and T = 600 agree to 26 digits or more at each point
+MIXED_REFERENCES = [
+    (0.3, 0.39104410759435, 11.276335059354915),
+    (0.05, 0.2, 17.399484845804677),
+    (0.3, 0.05, 7.0040598159549569),
+    (0.01, 0.1, 21.758843986976258),
+]
+
+
+@pytest.mark.parametrize("mu, eps, ref", MIXED_REFERENCES)
+def test_mixed_sum_within_stated_bound_of_40_digit_references(mu, eps, ref):
+    value, bound = _mixed_sum(mu, eps, DEFAULT_CONFIG)
+    assert abs(value - ref) <= bound
+    assert bound <= (1e-10 if (mu, eps) == MIXED_REFERENCES[0][:2] else 1e-7)
+
+
+def test_mixed_sum_refuses_a_tail_it_cannot_expand():
+    # at max_radius 8, mu |k|^2 on the tail starts at 0.64 < 9
+    with pytest.raises(ToleranceUnreachableError):
+        _mixed_sum(0.01, 0.1, PrecisionConfig(max_radius=8))
 
 
 def test_elementary_comparison_domain():

@@ -214,6 +214,13 @@ def test_loglog_model_closed_form():
         theta_model("loglog_asymptotic", 1.0)
 
 
+@pytest.mark.parametrize("model", ["loglog_asymptotic", "exact", "theta0", "exp_corrected"])
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_theta_model_non_finite_delta_is_a_domain_error(model, delta):
+    with pytest.raises(DomainError):
+        theta_model(model, delta)
+
+
 def test_models_converge_at_large_delta():
     d = 5e3
     e = theta_model("exact", d)

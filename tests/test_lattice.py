@@ -29,7 +29,6 @@ from torsob.lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
-    TailDescriptor,
     beta_constant,
     critical_sums,
     general_sums,
@@ -377,49 +376,38 @@ def brute_tail(weight, R, big=3000):
 
 
 def test_tail_bracket_plain_encloses():
-    # one-shot sandwich: wider, but still rigorous
-    lo, hi = tail_bracket(50.0, TailDescriptor("inverse_power", p=4.0))
+    # the cell sandwich for |k|^-4: wide, but rigorous
+    lo, hi = lattice._power_tail_bracket(2, 4.0, 50.0)
     truth = brute_tail(lambda q: q**-2.0, 50.0)
     assert lo <= truth + 4e-7 and truth <= hi + 1e-12
     assert 0.0 < hi - lo < 5e-4
 
 
-def test_tail_bracket_extended_inverse_power():
-    lo, hi = tail_bracket(
-        50.0, TailDescriptor("inverse_power", p=4.0), PrecisionConfig()
-    )
-    truth = brute_tail(lambda q: q**-2.0, 50.0)
-    assert lo <= truth + 4e-7 and truth <= hi + 1e-12
-    assert 0.0 < hi - lo < 1e-5
-
-
-def test_tail_bracket_extended_screened_h_width():
-    lo, hi = tail_bracket(50.0, TailDescriptor("screened_h", mu=1.0), PrecisionConfig())
-    truth = brute_tail(lambda q: (1.0 + q) ** -2.0, 50.0)
-    assert lo <= truth + 4e-7 and truth <= hi + 1e-12
-    assert hi - lo < 1e-5
-
-
-def test_tail_bracket_screened_f_encloses():
-    lo, hi = tail_bracket(50.0, TailDescriptor("screened_f", mu=1.0), PrecisionConfig())
-    truth = brute_tail(lambda q: 1.0 / (q * (1.0 + q)), 50.0)
-    assert lo <= truth + 4e-7 and truth <= hi + 1e-12
+@pytest.mark.parametrize("mu", [0.3, 10.0])
+@pytest.mark.parametrize("R", [40.0, 80.0])
+def test_tail_bracket_screened_g_encloses(R, mu):
+    # the sandwich behind the field's l2 radius; the box of brute_tail
+    # misses only |k| > 1000, where the summand is below |k|^-6 / mu^2
+    lo, hi = tail_bracket(R, mu)
+    truth = brute_tail(lambda q: 1.0 / (q * (1.0 + mu * q) ** 2), R, big=1000)
+    missed = lattice._power_tail_bracket(2, 6.0, 1000.0)[1] / mu**2
+    assert 0.0 < lo <= truth + missed
+    assert truth <= hi
 
 
 def test_tail_bracket_monotone_in_radius():
-    d = TailDescriptor("screened_g", mu=0.3)
-    prev = tail_bracket(40.0, d)
+    prev = tail_bracket(40.0, 0.3)
     for R in (80.0, 160.0):
-        cur = tail_bracket(R, d)
+        cur = tail_bracket(R, 0.3)
         assert cur[1] < prev[1]
         prev = cur
 
 
-def test_tail_descriptor_validation():
+def test_tail_bracket_validation():
     with pytest.raises(DomainError):
-        TailDescriptor("bogus")
+        tail_bracket(50.0, 0.0)  # the screen must be monotone
     with pytest.raises(DomainError):
-        tail_bracket(50.0, TailDescriptor("screened_f"))  # mu defaulted to 0
+        tail_bracket(1.5, 0.3)
 
 
 # ------------------------------------------------- counting and partials

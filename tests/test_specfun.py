@@ -75,6 +75,13 @@ def test_lambert_w_domain_errors():
         lambert_w(2, 1.0)  # only real branches supported
 
 
+@pytest.mark.parametrize("branch", [0, -1])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_lambert_w_non_finite_is_a_domain_error(branch, x):
+    with pytest.raises(DomainError):
+        lambert_w(branch, x)
+
+
 # ---------------------------------------------------------- Dirichlet beta
 
 
