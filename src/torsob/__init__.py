@@ -33,6 +33,38 @@ from __future__ import annotations
 
 __version__ = "1.0.0"
 
+
+def _load_numpy_for_cli() -> None:
+    """Load numpy with a one-thread OpenBLAS when the torsob CLI is the program.
+
+    Every BLAS call of the package is a ``lattice._dot`` block of at most
+    8192 elements, which OpenBLAS runs on one thread, so the pool that numpy
+    starts by default would only cost CPU.  ``OPENBLAS_NUM_THREADS=1`` is
+    set only around the numpy import, so ``os.environ`` and child processes
+    see the user's environment.  A thread variable the user set wins, and a
+    program that imports torsob keeps numpy's default pool.
+    """
+    import os
+    import sys
+
+    argv0 = sys.argv[0] if sys.argv else ""
+    # while ``python -m torsob.cli`` imports this package, argv[0] is "-m";
+    # the console script runs from a file named torsob
+    cli = (argv0 == "-m" and "torsob.cli" in sys.orig_argv) or (
+        os.path.splitext(os.path.basename(argv0))[0] == "torsob"
+    )
+    thread_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if not cli or "numpy" in sys.modules or any(v in os.environ for v in thread_vars):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_for_cli()
+
 from .algebraic import (
     RemainderReport,
     delta_plateau,

@@ -291,6 +291,8 @@ def remainder_constant(
     endpoint or the limit at infinity wins.
     """
     d, n = case.d, case.n
+    if d not in (1, 2, 3):
+        raise DomainError(f"remainder_constant: need d in {{1, 2, 3}}, got d={d!r}")
     U = remainder_upper_bound(case)
     c = leading_constant(case)
     p = d / (2.0 * n)

@@ -58,6 +58,13 @@ def test_delta_plateau_needs_a_supported_dimension():
         lattice._full_moment(5, 3)
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_remainder_constant_needs_a_supported_dimension(d):
+    # refused before any search, as general_sums and theta_dn refuse it
+    with pytest.raises(DomainError, match="remainder_constant: need d in"):
+        al.remainder_constant(CaseDN(d, 3))
+
+
 # ----------------------------------------------------------- theta curve
 
 

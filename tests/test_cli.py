@@ -5,6 +5,10 @@ Exit-code contract: 0 success, 2 domain error, 3 tolerance unreachable,
 with a single `torsob: {kind}: {message}` line on stderr for failures.
 Stdout tables carry `#`-comment headers including a manifest sha256 that
 depends only on the canonical parameters, so repeat runs are byte-stable.
+
+A CLI process loads OpenBLAS with one thread unless the user set a thread
+variable; a probe on the children's import path counts their threads at
+exit, and the CLI's bytes must not depend on the thread count.
 """
 
 import ast
@@ -304,6 +308,13 @@ def test_domain_error_exit_code():
     assert r.stderr.startswith("torsob: domain-error:")
 
 
+def test_kdn_unsupported_dimension_exit_code():
+    r = run_cli("kdn", "--d", "4", "--n", "3")
+    assert r.returncode == 2
+    assert r.stderr == "torsob: domain-error: remainder_constant: need d in {1, 2, 3}, got d=4\n"
+    assert r.stdout == ""
+
+
 def test_tolerance_unreachable_exit_code():
     r = run_cli("field", "--mu", "10", "--resolution", "64", "--tol", "1e-17")
     assert r.returncode == 3
@@ -326,3 +337,92 @@ def test_field_repeat_runs_same_bytes(tmp_path):
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
     header = (tmp_path / "r1.csv").read_text().splitlines()
     assert any(ln.startswith("x,y,value") for ln in header[:8])
+
+
+# ---------------------------------------------------------- BLAS threads
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: imported by every child that has its directory on the import path; at
+#: exit it prints the process's thread count and whether os.environ is
+#: what the process started with
+_TASK_PROBE = """\
+import atexit, os, sys
+_start = dict(os.environ)
+atexit.register(lambda: print(
+    "tasks", len(os.listdir("/proc/self/task")), dict(os.environ) == _start,
+    file=sys.stderr,
+))
+"""
+
+#: what pip writes as the ``torsob`` console script
+_CONSOLE_SCRIPT = """\
+import re
+import sys
+from torsob.cli import main
+if __name__ == "__main__":
+    sys.argv[0] = re.sub(r"(-script\\.pyw|\\.exe)?$", "", sys.argv[0])
+    sys.exit(main())
+"""
+
+needs_task_count = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc/self/task and at least two cores",
+)
+
+
+def _python(argv, path=(), **env_vars) -> subprocess.CompletedProcess:
+    """A child ``python argv`` with src and path on its import path, under
+    this environment less its thread variables, plus env_vars."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), *map(str, path), env.get("PYTHONPATH")])
+    )
+    r = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert r.returncode == 0, r.stderr
+    return r
+
+
+def _tasks(tmp_path, *argv, **env_vars) -> int:
+    """Threads of a child ``python argv`` at exit; its os.environ must end
+    as it started."""
+    (tmp_path / "sitecustomize.py").write_text(_TASK_PROBE)
+    r = _python(argv, [tmp_path], **env_vars)
+    word, tasks, same_env = r.stderr.splitlines()[-1].split()
+    assert (word, same_env) == ("tasks", "True")
+    return int(tasks)
+
+
+@needs_task_count
+def test_cli_runs_one_blas_thread(tmp_path):
+    assert _tasks(tmp_path, "-m", "torsob.cli", "--version") == 1
+    script = tmp_path / "bin" / "torsob"
+    script.parent.mkdir()
+    script.write_text(_CONSOLE_SCRIPT)
+    assert _tasks(tmp_path, str(script), "--version") == 1
+
+
+@needs_task_count
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_keeps_the_users_thread_variable(tmp_path, var):
+    assert _tasks(tmp_path, "-m", "torsob.cli", "--version", **{var: "2"}) == 2
+
+
+@needs_task_count
+def test_import_torsob_keeps_numpys_default_pool(tmp_path):
+    default = _tasks(tmp_path, "-c", "import numpy")
+    assert default >= 2
+    assert _tasks(tmp_path, "-c", "import torsob") == default
+    # a user's package run by -m also imports torsob while argv[0] is "-m"
+    (tmp_path / "userpkg").mkdir()
+    (tmp_path / "userpkg" / "__init__.py").write_text("import torsob\n")
+    (tmp_path / "userpkg" / "main.py").write_text("")
+    assert _tasks(tmp_path, "-m", "userpkg.main") == default
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count():
+    argv = ["-m", "torsob.cli", "kdn", "--d", "3", "--n", "2"]
+    assert _python(argv).stdout == _python(argv, OPENBLAS_NUM_THREADS="2").stdout
