@@ -220,8 +220,6 @@ def _emit(args, core, *, csv_text=None, json_obj=None, plot=None) -> int:
         payload["manifest_sha256"] = _core_sha(core)
         put(".json", json.dumps(payload, indent=2, allow_nan=False) + "\n")
     if getattr(args, "gnuplot", False):
-        if plot is None or csv_text is None:
-            raise InputFormatError("this subcommand has no plottable CSV output")
         style, title = plot
         body = _GNUPLOT_BODY[style].format(
             csv=repr(str(base) + ".csv"), title=title
@@ -521,10 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-radius", type=int, help="override max_radius from the config"
     )
-    common.add_argument(
+    # only the subcommands with a CSV table take --gnuplot, so the others
+    # refuse it before computing or writing anything
+    plottable = argparse.ArgumentParser(add_help=False)
+    plottable.add_argument(
         "--gnuplot",
         action="store_true",
-        help="also write a BASE.gnuplot script for the CSV (needs --output)",
+        help="also write a BASE.gnuplot script for the CSV (needs --output; "
+        "theta, kdn, limit, field and bounds only)",
     )
 
     parser = argparse.ArgumentParser(
@@ -536,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser(
-        "theta", parents=[common], help="curve table delta -> Theta under a model"
+        "theta", parents=[common, plottable],
+        help="curve table delta -> Theta under a model",
     )
     p.add_argument("--model", choices=sorted(_MODEL_MAP), required=True)
     p.add_argument("--delta-grid", required=True, metavar="A:B:STEPS[,log]")
@@ -548,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser(
-        "kdn", parents=[common], help="remainder constant K_d(n) and deviation curve"
+        "kdn", parents=[common, plottable],
+        help="remainder constant K_d(n) and deviation curve",
     )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -557,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kdn)
 
     p = sub.add_parser(
-        "limit", parents=[common], help="large-n scaled deviation or its limit"
+        "limit", parents=[common, plottable],
+        help="large-n scaled deviation or its limit",
     )
     p.add_argument("--d", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", required=True, metavar="N|inf")
@@ -565,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser(
-        "field", parents=[common], help="extremal field grid as x,y,value CSV"
+        "field", parents=[common, plottable],
+        help="extremal field grid as x,y,value CSV",
     )
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--resolution", type=int, required=True)
@@ -579,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "bounds", parents=[common], help="elementary upper bounds next to the sharp curve"
+        "bounds", parents=[common, plottable],
+        help="elementary upper bounds next to the sharp curve",
     )
     p.add_argument("--delta-grid", required=True, metavar="A:B:STEPS[,log]")
     p.set_defaults(func=cmd_bounds)

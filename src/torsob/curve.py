@@ -218,28 +218,29 @@ def mu_of_delta(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_coefficients(mu: float) -> tuple[float, float, float]:
+    """(log(1/mu), a, b) of the logarithmic model at mu > 0:
+    a = pi log(1/mu) + beta + mu and b = pi log(1/mu) + beta - pi + 2 mu."""
+    beta = beta_constant().value
+    lg = math.log(1.0 / mu)
+    return lg, math.pi * lg + beta + mu, math.pi * lg + beta - math.pi + 2.0 * mu
+
+
 def _theta0_pair(mu: float) -> tuple[float, float]:
     """(delta, Theta) for the logarithmic model at parameter mu > 0."""
-    beta = beta_constant().value
-    a = math.pi * math.log(1.0 / mu) + beta + mu
-    b = math.pi * math.log(1.0 / mu) + beta - math.pi + 2.0 * mu
+    _, a, b = _log_coefficients(mu)
     delta = (math.pi / mu - 1.0) / b
     theta = a * a / (_FOUR_PI_SQ * b)
     return delta, theta
 
 
 def _exp_pair(mu: float) -> tuple[float, float]:
-    """(delta, Theta) for the exponentially corrected model at mu > 0."""
-    beta = beta_constant().value
+    """(delta, Theta) for the exponentially corrected model at mu > 0: the
+    logarithmic a and b less their e^{-2 pi/sqrt(mu)} corrections."""
+    _, a, b = _log_coefficients(mu)
     ex = math.exp(-_TWO_PI / math.sqrt(mu))
-    a = math.pi * math.log(1.0 / mu) + beta + mu - 4.0 * math.pi * mu**0.25 * ex
-    b = (
-        math.pi * math.log(1.0 / mu)
-        + beta
-        - math.pi
-        + 2.0 * mu
-        - 4.0 * math.pi**2 * mu**-0.25 * ex
-    )
+    a = a - 4.0 * math.pi * mu**0.25 * ex
+    b = b - 4.0 * math.pi**2 * mu**-0.25 * ex
     delta = (math.pi / mu - 1.0 + 4.0 * math.pi**2 * mu**-1.25 * ex) / b
     theta = a * a / (_FOUR_PI_SQ * b)
     return delta, theta
@@ -338,9 +339,7 @@ def tangent_condition(mu: float) -> float:
     if not (0.0 < mu < 1.0):
         raise DomainError(f"tangent_condition: need mu in (0, 1), got {mu!r}")
     beta = beta_constant().value
-    lg = math.log(1.0 / mu)
-    a = math.pi * lg + beta + mu
-    b = math.pi * lg + beta - math.pi + 2.0 * mu
+    lg, a, b = _log_coefficients(mu)
     c = (
         math.pi**2 * lg
         + math.pi * beta

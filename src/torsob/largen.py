@@ -13,7 +13,6 @@ directions along the Gauss-circle fluctuations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebraic import leading_constant
 from .curve import _theta_sample
@@ -29,46 +28,12 @@ from .lattice import (
 )
 
 __all__ = [
-    "ScaledPoint",
     "scaled_deviation",
     "limit_1d",
     "limit_2d",
 ]
 
 _INV_PI = 1.0 / math.pi
-
-
-@dataclass(frozen=True)
-class ScaledPoint:
-    """One sample of a scaled deviation profile.
-
-    n is the smoothness order, with math.inf marking the limit profile.
-    """
-
-    z: float
-    value: float
-    n: float  # positive integer, or math.inf for the limit profile
-    d: int
-
-    def __post_init__(self) -> None:
-        if not (self.z > 1.0):
-            raise DomainError(f"ScaledPoint: need z > 1, got {self.z!r}")
-        if self.d not in (1, 2):
-            raise DomainError(f"ScaledPoint: d must be 1 or 2, got {self.d!r}")
-        try:
-            n_ok = self.n == math.inf or (self.n == int(self.n) and self.n >= 1)
-        except (TypeError, ValueError):
-            n_ok = False
-        if not n_ok:
-            raise DomainError(
-                f"ScaledPoint: n must be a positive integer or inf, got {self.n!r}"
-            )
-        if self.d == 1 and self.n == math.inf:
-            if not (-_INV_PI - 1e-12 <= self.value <= 1e-12):
-                raise DomainError(
-                    "ScaledPoint: the 1D limit profile lives in [-1/pi, 0], "
-                    f"got {self.value!r}"
-                )
 
 
 def scaled_deviation(

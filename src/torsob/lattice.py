@@ -168,8 +168,6 @@ _MAX_BESSEL_TERMS = 200_000  # image-point cap of the accelerated critical sums
 
 def _budget_radius(d: int) -> int:
     """Largest enumeration radius whose (2T+1)^d box fits the point budget."""
-    if d == 1:
-        return _POINT_BUDGET[1]
     return int((_POINT_BUDGET[d] ** (1.0 / d) - 1.0) / 2.0)
 
 
@@ -384,10 +382,16 @@ def _clipped_moment(
     The full-lattice moment minus the partial sum has a T-independent
     subtraction noise near 1e-14.  If that noise is below the bracket width,
     the difference clipped into [lo, hi] is the estimate and the noise its
-    error; otherwise the bracket midpoint and half-width are.  Returns
-    (estimate, error, noise); error == noise exactly in the first case.
+    error; otherwise the bracket midpoint and half-width are.  The noise is
+    at least its floor, the part without the partial sum, so when the floor
+    alone reaches the width the partial sum is never formed.  Returns
+    (estimate, error, noise): error == noise exactly in the first case, and
+    noise is the floor alone when the floor decided.
     """
     full = _full_moment(d, j)
+    floor = full.abs_error_bound + 1.6e-15 * abs(full.value)
+    if floor >= hi - lo:
+        return 0.5 * (lo + hi), 0.5 * (hi - lo), floor
     partial = _dot(c, q ** (-float(j)))
     noise = full.abs_error_bound + 1.6e-15 * (abs(full.value) + partial)
     if noise < hi - lo:
@@ -776,14 +780,7 @@ def hardy_sum(eps: float) -> SpecialValue:
     4 zeta(1+eps) beta_D(1+eps) (Hardy; valid for every eps > 0)."""
     if not (eps > 0.0):
         raise DomainError(f"hardy_sum: need eps > 0, got {eps!r}")
-    z, b = zeta_dirichlet(1.0 + eps)
-    v = 4.0 * z.value * b.value
-    err = 4.0 * (
-        abs(z.value) * b.abs_error_bound
-        + abs(b.value) * z.abs_error_bound
-        + z.abs_error_bound * b.abs_error_bound
-    ) + 2e-16 * abs(v)
-    return SpecialValue(v, err)
+    return _z2_moment(1.0 + eps)
 
 
 def hardy_sum_theta_split(eps: float) -> SpecialValue:

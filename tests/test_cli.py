@@ -100,6 +100,19 @@ def test_gnuplot_needs_output(tmp_path):
     assert (tmp_path / "g.gnuplot").exists()
 
 
+@pytest.mark.parametrize("sub", ["constants", "verify"])
+def test_gnuplot_refused_without_a_csv_before_any_write(sub, tmp_path):
+    # constants and verify emit JSON only; --gnuplot must fail before the
+    # computation leaves a BASE.json without its manifest
+    src = tmp_path / "in.txt"
+    src.write_text(COS_FILE_BODY)
+    argv = {"constants": ["constants"],
+            "verify": ["verify", "--input", str(src), "--inequality", "log0"]}[sub]
+    r = run_cli(*argv, "--output", str(tmp_path / "g" / "c"), "--gnuplot")
+    assert r.returncode == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+
+
 def test_kdn_json_at_infinity_case():
     r = run_cli("kdn", "--d", "2", "--n", "2")
     assert r.returncode == 0

@@ -155,19 +155,3 @@ def test_scaled_deviation_domain():
     with pytest.raises(DomainError):
         largen.scaled_deviation(2, 0, 1.5)
 
-
-# ------------------------------------------------------------ ScaledPoint
-
-
-def test_scaled_point_validation():
-    largen.ScaledPoint(z=1.5, value=-0.1, n=10, d=1)
-    largen.ScaledPoint(z=1.5, value=-0.2, n=math.inf, d=1)
-    with pytest.raises(DomainError):
-        largen.ScaledPoint(z=0.9, value=0.0, n=10, d=1)
-    with pytest.raises(DomainError):
-        largen.ScaledPoint(z=1.5, value=0.0, n=10, d=3)
-    with pytest.raises(DomainError):
-        largen.ScaledPoint(z=1.5, value=0.5, n="inf", d=1)
-    with pytest.raises(DomainError):
-        # 1D limit profile range is [-1/pi, 0]
-        largen.ScaledPoint(z=1.5, value=0.5, n=math.inf, d=1)

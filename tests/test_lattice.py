@@ -313,6 +313,23 @@ def test_z3_moment_inside_shell_bracket(j):
     assert partial + lo < lattice._z3_moment(j).value < partial + hi
 
 
+def test_clipped_moment_skips_the_partial_sum_below_its_noise_floor(monkeypatch):
+    # for |k|^{-12} past T = 48 the bracket is far narrower than the full
+    # moment's noise floor, so the partial sum could not change the answer
+    q, c = lattice._shells(2, 48)
+    lo, hi = lattice._power_tail_bracket(2, 12, 48.0)
+    full = lattice._z2_moment(6)
+    floor = full.abs_error_bound + 1.6e-15 * abs(full.value)
+    assert floor >= hi - lo
+
+    def no_dot(a, b):
+        raise AssertionError("partial sum formed")
+
+    monkeypatch.setattr(lattice, "_dot", no_dot)
+    got = lattice._clipped_moment(2, 6, q, c, lo, hi)
+    assert got == (0.5 * (lo + hi), 0.5 * (hi - lo), floor)
+
+
 # ------------------------------------------------------------ shell table
 
 
@@ -362,6 +379,12 @@ def test_shells_over_budget_raise_before_allocating(d, r, monkeypatch):
         tracemalloc.stop()
     assert peak < 64 * 1024  # one r^2 count array would be 8 (r^2 + 1) bytes
     assert lattice._SHELL_CACHE == {}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_budget_radius_is_the_largest_box_within_the_budget(d):
+    T, budget = lattice._budget_radius(d), lattice._POINT_BUDGET[d]
+    assert (2 * T + 1) ** d <= budget < (2 * T + 3) ** d
 
 
 # ---------------------------------------------------------- tail brackets
