@@ -241,10 +241,10 @@ class RemainderReport:
 
 
 def _tail_samples(
-    case: CaseDN, z_hi: float, cfg: PrecisionConfig
+    case: CaseDN, z_hi: float, cfg: PrecisionConfig, tails: dict
 ) -> tuple[bool, float]:
     """Probe the curve just below the cap z_hi against the three-term
-    expansion.
+    expansion, summing with the search's tail terms tails.
 
     Returns (strong, R) where strong means the expansion remainder --
     including the certified evaluation error -- is dominated by the third
@@ -260,7 +260,7 @@ def _tail_samples(
     strong = True
     R = 0.0
     probes = [(z_hi * frac) ** (-2.0 * n) for frac in (1.0, 0.94, 0.89)]
-    for tr in _general_sums_batch(case, probes, cfg):
+    for tr in _general_sums_batch(case, probes, cfg, tails):
         sample = _theta_sample(tr, d)
         dd = sample.delta
         third = (c * dd**p - U) - expansion_dn(case, dd)
@@ -285,10 +285,11 @@ def remainder_constant(
     F is Theta less the concave c delta^{d/2n}, so
     :func:`~torsob._optim.envelope_max` maximizes it in the turnover
     coordinate z = mu^{-1/(2n)}, from 200 seeds (one batched sum) on
-    [0.2, max(1000^{1/2n}, 6)] and on each cap extension; the cap grows
-    until the large-delta expansion certifiably takes over.  K and
-    delta_argmax are the best sample's own values, unless the delta = 1
-    endpoint or the limit at infinity wins.
+    [0.2, z_hi], z_hi = max(1000^{1/2n}, 6).  The tail beyond z_hi is then
+    certified once against the large-delta expansion; if that fails,
+    :class:`ToleranceUnreachableError` is raised.  K and delta_argmax are
+    the best sample's own values, unless the delta = 1 endpoint or the
+    limit at infinity wins.
     """
     d, n = case.d, case.n
     if d not in (1, 2, 3):
@@ -298,43 +299,23 @@ def remainder_constant(
     p = d / (2.0 * n)
 
     z_hi = max(1000.0 ** (1.0 / (2.0 * n)), 6.0)
-    # z drives the lattice truncation radius (~8z), so cap it well below the
-    # point budget of the d-dimensional shell enumeration.
-    z_cap = {1: 700.0, 2: 700.0, 3: 20.0}[d]
-
     F_of = lambda sample: sample.theta - c * sample.delta**p  # noqa: E731
     tails: dict = {}  # the tail terms of every batch of this search
-
-    def search(a: float, b: float) -> ThetaSample:
-        return envelope_max(
-            lambda zs: tuple(zip(*_samples_at(case, -2.0 * n * np.log(zs), cfg, tails))),
-            lambda delta: c * delta**p, np.linspace(a, b, 200),
-        )[0]
-
-    best = search(0.2, z_hi)
+    best = envelope_max(
+        lambda zs: tuple(zip(*_samples_at(case, -2.0 * n * np.log(zs), cfg, tails))),
+        lambda delta: c * delta**p, np.linspace(0.2, z_hi, 200),
+    )[0]
     f_at_one = lowest_shell_theta(d) - c  # delta = 1 endpoint, closed form
 
-    # certify that the tail beyond the cap cannot beat what was found:
-    # either the expansion remainder sits below the third term (tail below
-    # -U for good), or it sits below the gap to an interior maximum
-    for _ in range(40):
-        strong, R = _tail_samples(case, z_hi, cfg)
-        if strong:
-            break
-        gap = max(F_of(best), f_at_one) + U
-        if gap > 10.0 * _ATT_TOL * max(1.0, U) and R <= 0.6 * gap:
-            break
-        grown = z_hi * max(2.0 ** (1.0 / (2.0 * n)), 1.22)
-        if grown > z_cap:
-            raise ToleranceUnreachableError(
-                "remainder_constant: tail not certified below the "
-                f"lattice-enumeration cap for (d,n)=({d},{n})"
-            )
-        best = max(best, search(z_hi, grown), key=F_of)
-        z_hi = grown
-    else:
+    # certify that the tail beyond z_hi cannot beat what was found: either
+    # the expansion remainder sits below the third term (tail below -U for
+    # good), or it sits below the gap to an interior maximum
+    strong, R = _tail_samples(case, z_hi, cfg, tails)
+    gap = max(F_of(best), f_at_one) + U
+    if not (strong or (gap > 10.0 * _ATT_TOL * max(1.0, U) and R <= 0.6 * gap)):
         raise ToleranceUnreachableError(
-            f"remainder_constant: expansion regime not reached for (d,n)=({d},{n})"
+            f"remainder_constant: tail beyond z = {z_hi:g} not certified "
+            f"for (d,n)=({d},{n})"
         )
 
     best_val = F_of(best)

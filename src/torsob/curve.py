@@ -237,8 +237,10 @@ def _theta0_pair(mu: float) -> tuple[float, float]:
 def _exp_pair(mu: float) -> tuple[float, float]:
     """(delta, Theta) for the exponentially corrected model at mu > 0: the
     logarithmic a and b less their e^{-2 pi/sqrt(mu)} corrections."""
-    _, a, b = _log_coefficients(mu)
     ex = math.exp(-_TWO_PI / math.sqrt(mu))
+    if ex == 0.0:  # the corrections are exactly 0, and mu**-1.25 may overflow
+        return _theta0_pair(mu)
+    _, a, b = _log_coefficients(mu)
     a = a - 4.0 * math.pi * mu**0.25 * ex
     b = b - 4.0 * math.pi**2 * mu**-0.25 * ex
     delta = (math.pi / mu - 1.0 + 4.0 * math.pi**2 * mu**-1.25 * ex) / b
@@ -334,7 +336,8 @@ def tangent_condition(mu: float) -> float:
     """Closed-form tangency expression whose negative sign certifies that
     the exponentially corrected model undercuts the logarithmic one locally.
 
-    Valid (and expected negative) for mu in (0, 1).
+    Valid (and expected negative) for mu in (0, 1); below about 1e-210
+    the value leaves double range and :class:`DomainError` is raised.
     """
     if not (0.0 < mu < 1.0):
         raise DomainError(f"tangent_condition: need mu in (0, 1), got {mu!r}")
@@ -347,7 +350,11 @@ def tangent_condition(mu: float) -> float:
         + 5.0 * math.pi * mu
         - 2.0 * mu * mu
     )
-    return -(a * c) / (2.0 * math.pi**2 * mu**1.5 * b**3)
+    den = 2.0 * math.pi**2 * mu**1.5 * b**3
+    value = -(a * c) / den if den else -math.inf  # mu**1.5 may underflow
+    if not math.isfinite(value):
+        raise DomainError(f"tangent_condition: value at mu={mu!r} is beyond double range")
+    return value
 
 
 def gap(delta: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:

@@ -12,7 +12,8 @@ as written in its defining series, u_mu(x) = sum' e^{i k.x}/(k^2(1+mu k^2))
 (no prefactor), which corresponds to u_k = 2pi/(k^2(1+mu k^2)); hence its
 peak value is the lattice sum f(mu) and its norms are (2pi)^2 g(mu) and
 (2pi)^2 h(mu).  Away from the origin the series is summed in closed form
-row by row, so no Fourier truncation enters the grid values.
+row by row, so no Fourier truncation enters the grid values; the Green
+function sum' e^{i k.x}/k^2 is summed by the same rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .lattice import (
     critical_sums,
     tail_bracket,
 )
-from .specfun import _bessel_k01
 
 __all__ = [
     "FieldGrid",
@@ -137,6 +137,28 @@ def _row_terms(k1: np.ndarray, t2: float, mu: float) -> np.ndarray:
     return -math.pi * h * np.expm1(log_ratio)
 
 
+def _cosh_ratio(a, t2: float):
+    """cosh(a(pi - t2))/sinh(pi a), stable for large a: (pi/a) times it is
+    sum_{k in Z} cos(k t2)/(k^2 + a^2)."""
+    return (
+        np.exp(-a * t2)
+        * (1.0 + np.exp(-2.0 * a * (math.pi - t2)))
+        / (1.0 - np.exp(-2.0 * math.pi * a))
+    )
+
+
+def _row_wavenumbers(t2: float) -> np.ndarray:
+    """The rows k1 = 1..M summed at larger coordinate t2 > 0: row k1 is
+    O(e^{-k1 t2}), so they run past the factor e^{-42}."""
+    M = int(math.ceil(42.0 / t2)) + 8
+    if M > 2_000_000:
+        raise ToleranceUnreachableError(
+            f"Green function: point too close to the lattice "
+            f"singularity (row cutoff {M} exceeds budget)"
+        )
+    return np.arange(1.0, M + 1.0)
+
+
 def _synth_rows(t1: np.ndarray, t2: float, mu: float) -> np.ndarray:
     """sum' e^{i k.x} / (k^2 (1 + mu k^2)) at the points x = (t1[i], t2),
     0 <= t1[i] <= t2 <= pi, t2 > 0, by exact row summation.
@@ -149,15 +171,6 @@ def _synth_rows(t1: np.ndarray, t2: float, mu: float) -> np.ndarray:
     the two is formed without cancellation (:func:`_row_terms`).  Row k1
     is O(e^{-k1 t2}), so rows stop once that factor is below e^{-42}.
     """
-
-    def cosh_ratio(a):
-        # cosh(a(pi - t2))/sinh(pi a), stable for large a
-        return (
-            np.exp(-a * t2)
-            * (1.0 + np.exp(-2.0 * a * (math.pi - t2)))
-            / (1.0 - np.exp(-2.0 * math.pi * a))
-        )
-
     # row 0: sum_{k != 0} cos(k t2) (1/k^2 - 1/(k^2 + b^2)), b = 1/sqrt(mu)
     sq = math.sqrt(mu)
     plain0 = math.pi**2 / 3.0 - math.pi * t2 + t2 * t2 / 2.0
@@ -176,16 +189,10 @@ def _synth_rows(t1: np.ndarray, t2: float, mu: float) -> np.ndarray:
             for n in range(2, 18)
         ) / math.sinh(math.pi * b)
     else:
-        s_full = (math.pi / sq) * float(cosh_ratio(np.asarray(1.0 / sq)))
+        s_full = (math.pi / sq) * float(_cosh_ratio(np.asarray(1.0 / sq), t2))
         row0 = plain0 - mu * (s_full - 1.0)
 
-    M = int(math.ceil(42.0 / t2)) + 8
-    if M > 2_000_000:
-        raise ToleranceUnreachableError(
-            f"screened Green function: point too close to the lattice "
-            f"singularity (row cutoff {M} exceeds budget)"
-        )
-    k1 = np.arange(1.0, M + 1.0)
+    k1 = _row_wavenumbers(t2)
     terms = np.cos(np.multiply.outer(t1, k1)) * _row_terms(k1, t2, mu)
     return row0 + 2.0 * terms.sum(axis=-1)
 
@@ -278,73 +285,25 @@ def extremal_field(
 # ---------------------------------------------------------------------------
 
 
-def _screened_green(x1: float, x2: float, mu: float) -> float:
-    """sum' e^{i k.x} / (k^2 (1 + mu k^2)) at one point x != 0."""
-    t1, t2 = sorted((abs(x1), abs(x2)))
-    return float(_synth_rows(np.array([t1]), t2, mu)[0])
-
-
-#: the last image ring _bessel_image_sum may reach
-_IMAGE_RINGS = 39
-
-
-def _bessel_image_sum(x1: float, x2: float, mu: float) -> float:
-    """sum over m in Z^2 of K0(|x - 2 pi m| / sqrt(mu)), ring by ring in
-    n = max(|m1|, |m2|), stopping at the first ring n >= 1 that contributes
-    below 1e-14 of the accumulated value.  The rings come in blocks, one
-    Bessel kernel call each.  The first block reaches n = 1 + 6 sqrt(mu):
-    K0 decays by about e^{-2 pi/sqrt(mu)} a ring, so at the screenings
-    g0_value uses the rule stops inside it, near n = 5.6 sqrt(mu)."""
-    sq = math.sqrt(mu)
-    total = 0.0
-    lo, hi = 0, min(_IMAGE_RINGS, 1 + int(6.0 * sq))
-    while lo <= hi:
-        m = np.arange(-hi, hi + 1, dtype=float)
-        m1 = np.repeat(m, m.size)
-        m2 = np.tile(m, m.size)
-        ring = np.maximum(np.abs(m1), np.abs(m2)).astype(np.intp)
-        sel = ring >= lo
-        r = np.hypot(x1 - 2.0 * math.pi * m1[sel], x2 - 2.0 * math.pi * m2[sel])
-        sums = np.bincount(ring[sel] - lo, weights=_bessel_k01(r / sq)[0])
-        for n, contrib in enumerate(sums.tolist(), lo):
-            total += contrib
-            if n and contrib < 1e-14 * (1.0 + abs(total)):
-                return total
-        lo, hi = hi + 1, min(_IMAGE_RINGS, hi + 4)
-    raise ToleranceUnreachableError("g0_value: image sum failed to converge")
-
-
 def g0_value(x) -> float:
-    """The zero-mean Laplacian Green function sum' e^{i k.x}/k^2 at x != 0.
+    """The zero-mean Laplacian Green function sum' e^{i k.x}/k^2 at x != 0
+    in [-pi, pi]^2, summed row by row in closed form.
 
-    The conditionally convergent lattice series is never summed as written:
-    it is split into the absolutely convergent screened part at an internal
-    screening mu plus a rapidly convergent image sum of K0 kernels minus
-    the screening's zero-mode, a decomposition whose mu-independence is
-    verified at runtime (mu in {0.5, 1, 2} must agree to 1e-9) and whose
-    value at (pi, pi) is pinned to -pi log 2.
+    With t1 <= t2 the sorted |x_i|, rows run over k1, the wavenumber of
+    t1, and each closes in t2 by the identities of :func:`_synth_rows`:
+    g0 = pi^2/3 - pi t2 + t2^2/2 + 2 sum_{k1 >= 1} cos(k1 t1)
+    pi cosh(k1(pi - t2))/(k1 sinh(pi k1)), the rows stopping below e^{-42}
+    of their decay.  At (pi, pi) the value is -pi log 2.
     """
     x1, x2 = float(x[0]), float(x[1])
     if not (abs(x1) <= math.pi + 1e-12 and abs(x2) <= math.pi + 1e-12):
         raise DomainError(f"g0_value: point {(x1, x2)!r} outside [-pi, pi]^2")
     if x1 == 0.0 and x2 == 0.0:
         raise DomainError("g0_value: the Green function is singular at the origin")
-
-    def total(mu: float) -> float:
-        return (
-            _screened_green(x1, x2, mu)
-            + 2.0 * math.pi * _bessel_image_sum(x1, x2, mu)
-            - mu
-        )
-
-    center = total(1.0)
-    drift = max(abs(total(0.5) - center), abs(total(2.0) - center))
-    if drift > 1e-9:
-        raise ToleranceUnreachableError(
-            f"g0_value: screening split failed its independence check "
-            f"(drift {drift:.3e} at x={(x1, x2)!r})"
-        )
-    return center
+    t1, t2 = sorted((abs(x1), abs(x2)))
+    k1 = _row_wavenumbers(t2)
+    rows = np.cos(t1 * k1) * (math.pi * _cosh_ratio(k1, t2) / k1)
+    return float(math.pi**2 / 3.0 - math.pi * t2 + t2 * t2 / 2.0 + 2.0 * rows.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,10 @@ def tail_bracket(R: float, mu: float) -> tuple[float, float]:
 #   f = eps * sum' 1/(q(q+eps)),
 #   g = eps^2 * sum' 1/(q(q+eps)^2),
 #   h = eps^2 * sum' 1/(q+eps)^2.
-# The parametrization is regular on eps in [-1, 0) u (0, inf); mu in (-1, 0)
-# corresponds to eps < -1 where 1 + mu q vanishes on a lattice shell, and is
-# rejected.  At eps = -1 (mu = -1) the q = 1 shell is the exact resonance and
-# is excluded; the curve module reinstates its analytic limit.
+# The parametrization is regular on eps in (-1, 0) u (0, inf); mu in [-1, 0)
+# corresponds to eps <= -1, where q + eps can vanish on a lattice shell (at
+# mu = -1 it does, on q = 1), and is rejected.  The curve module serves the
+# resonant endpoint mu = -1 in closed form.
 
 
 def _z2_moment(j: float) -> SpecialValue:
@@ -416,7 +416,6 @@ def _tail_moments(q: np.ndarray, c: np.ndarray, T: int) -> tuple[dict, dict, dic
 
 def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
     eps = 1.0 / mu
-    exclude_q1 = mu == -1.0
     abs_eps = abs(eps)
     tol = cfg.target_abs_tol
 
@@ -434,21 +433,13 @@ def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
                 f"within max_radius={cfg.max_radius} (accelerated method "
                 "converges exponentially for mu > 0)"
             )
-        q_all, c_all = _shells(2, T)
-        if exclude_q1:
-            # drop the resonant |k|^2 = 1 shell (4 points) where q + eps = 0
-            keep = q_all > 1.5
-            q, c = q_all[keep], c_all[keep]
-        else:
-            q, c = q_all, c_all
+        q, c = _shells(2, T)
         qe = q + eps
         s1 = _dot(c, 1.0 / (q * qe))
         s2 = _dot(c, 1.0 / (q * qe * qe))
         s3 = _dot(c, 1.0 / (qe * qe))
 
-        # tail moments are over the full lattice; the excluded resonant
-        # shell (if any) sits far inside the truncation radius.
-        mids, merr, mup, mnoise = _tail_moments(q_all, c_all, T)
+        mids, merr, mup, mnoise = _tail_moments(q, c, T)
         e2 = eps * eps
         geom = 1.0 / (1.0 - abs_eps / (T * T))  # series safety factor
         t1 = mids[2] - eps * mids[3] + e2 * mids[4]
@@ -597,18 +588,18 @@ def critical_sums(
 ) -> SumTriple:
     """The critical 2D triple (f, g, h) at screening parameter mu.
 
-    Admissible mu: positive reals, or the negative branch mu <= -1 (where
-    all summands stay finite; at mu = -1 exactly, the resonant |k| = 1
-    shell is excluded and only the regular part is returned).  mu in
-    (-1, 0) hits a pole on a lattice shell and is rejected.
+    Admissible mu: positive reals, or the negative branch mu < -1, where
+    all summands stay finite.  mu in [-1, 0) hits a pole on a lattice
+    shell (at mu = -1 the |k| = 1 shell) and is rejected; the curve serves
+    the resonant endpoint mu = -1 in closed form.
 
     method: "direct", "accelerated" (mu > 0 only), or "auto".
     """
     if not math.isfinite(mu) or mu == 0.0:
         raise DomainError(f"critical_sums: mu must be finite and nonzero, got {mu!r}")
-    if -1.0 < mu < 0.0:
+    if -1.0 <= mu < 0.0:
         raise DomainError(
-            f"critical_sums: mu={mu:g} lies in the resonance band (-1, 0)"
+            f"critical_sums: mu={mu:g} lies in the resonance band [-1, 0)"
         )
     if method == "auto":
         method = "accelerated" if 0.0 < mu <= 4.0 else "direct"

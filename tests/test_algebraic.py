@@ -13,7 +13,7 @@ import pytest
 
 from torsob import algebraic as al
 from torsob import lattice
-from torsob.errors import DomainError, TorsobError
+from torsob.errors import DomainError, ToleranceUnreachableError, TorsobError
 from torsob.curve import _theta_sample
 from torsob.lattice import CaseDN, PrecisionConfig, general_sums
 from torsob.specfun import zeta_dirichlet
@@ -192,6 +192,14 @@ def test_remainder_constant_attained_13():
     assert abs(rep.K - 0.18123641402139923) < 5e-9
     assert abs(rep.delta_argmax - 1.4336814670823528) < 5e-6
     assert abs(rep.upper_bound - 0.19098593171027442) < 1e-13
+
+
+def test_remainder_constant_uncertified_tail_is_unreachable(monkeypatch):
+    # the search range is not grown: a tail that certifies neither way
+    # raises
+    monkeypatch.setattr(al, "_tail_samples", lambda *args: (False, math.inf))
+    with pytest.raises(ToleranceUnreachableError, match="not certified"):
+        al.remainder_constant(CaseDN(1, 3))
 
 
 def test_leading_constants_frozen():

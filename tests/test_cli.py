@@ -56,6 +56,12 @@ def test_theta_table_frozen():
     assert rows[3].startswith("4.0,0.35111590832941114,0.1184022201026829,")
 
 
+def test_theta_exp_model_at_huge_delta():
+    r = run_cli("theta", "--model", "exp", "--delta-grid", "1e246:1e246:1")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+
+
 def test_theta_exp_model_from_delta_one():
     r = run_cli("theta", "--model", "exp", "--delta-grid", "1:2:3")
     assert r.returncode == 0, r.stderr

@@ -6,6 +6,7 @@ screened triple; closed-form models approximate it with increasing fidelity
 """
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +222,16 @@ def test_theta_model_non_finite_delta_is_a_domain_error(model, delta):
         theta_model(model, delta)
 
 
+def test_exp_corrected_model_answers_where_its_corrections_vanish():
+    # at delta = 1e246 the e^{-2pi/sqrt(mu)} corrections are exactly 0 on
+    # the whole monotonicity grid, and mu**-1.25 would overflow there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = theta_model("exp_corrected", 1e246)
+    want = theta_model("theta0", 1e246)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_models_converge_at_large_delta():
     d = 5e3
     e = theta_model("exact", d)
@@ -260,6 +271,19 @@ def test_gap_shrinks_with_delta():
 def test_tangent_condition_frozen():
     assert abs(tangent_condition(0.01) - (-10.867267798919714)) < 1e-9
     assert abs(tangent_condition(0.1) - (-0.6183982379632418)) < 1e-9
+
+
+@pytest.mark.parametrize("mu", [1e-210, 1e-216, 1e-300])
+def test_tangent_condition_beyond_double_range_is_a_domain_error(mu):
+    # the value passes -1.8e308 near mu = 1e-210, and mu**1.5 underflows to
+    # 0 near 1e-216
+    with pytest.raises(DomainError):
+        tangent_condition(mu)
+
+
+def test_tangent_condition_bits_inside_double_range():
+    assert tangent_condition(1e-200) == -1.1004989777600805e296
+    assert tangent_condition(0.1) == -0.6183982379632418
 
 
 def test_tangent_condition_negative_on_range():

@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 from torsob import field
 from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from torsob.lattice import CaseDN, PrecisionConfig, _z2_moment, critical_sums
-from torsob.specfun import bessel_k
+
+from green_images import g0_image_route, image_sum_ring_loop
 
 MU_STAR = 0.1221104705136475
 DELTA_STAR = 3.9288361657183553
@@ -60,37 +61,16 @@ def test_g0_singularity_rejected():
         field.g0_value((0.0, 0.0))
 
 
-def _image_sum_ring_loop(x1, x2, mu):
-    """The image sum one point and one ring at a time, with the same
-    stopping rule: the reference for the blocked sum."""
-    sq = math.sqrt(mu)
-    total = bessel_k(0, math.hypot(x1, x2) / sq).value
-    for ring in range(1, 40):
-        contrib = 0.0
-        for m1 in range(-ring, ring + 1):
-            for m2 in range(-ring, ring + 1) if abs(m1) == ring else (-ring, ring):
-                r = math.hypot(x1 - 2.0 * math.pi * m1, x2 - 2.0 * math.pi * m2)
-                contrib += bessel_k(0, r / sq).value
-        total += contrib
-        if contrib < 1e-14 * (1.0 + abs(total)):
-            return total
-    raise AssertionError("ring loop did not converge")
-
-
-@pytest.mark.parametrize("mu", [0.02, 0.1, 0.5, 1.0, 2.0, 10.0])
-def test_bessel_image_sum_matches_ring_loop(mu, monkeypatch):
-    # the blocked sum adds the same terms in another order; below 0.5 the
-    # corner points need a second block
-    calls = []
-    kernel = field._bessel_k01
-    monkeypatch.setattr(field, "_bessel_k01", lambda x: calls.append(1) or kernel(x))
-    for x1, x2 in ((math.pi, math.pi), (0.1, 0.0), (3.0, -0.5), (-1.3, 2.2)):
-        calls.clear()
-        got = field._bessel_image_sum(x1, x2, mu)
-        want = _image_sum_ring_loop(x1, x2, mu)
-        assert abs(got - want) <= 1e-14 * abs(want), (x1, x2)
-        if mu >= 0.5:  # g0_value's screenings: one kernel call
-            assert len(calls) == 1
+@pytest.mark.parametrize("mu", [0.5, 2.0])
+def test_g0_matches_image_route(mu):
+    # the rows of 1/k^2 against the screened rows plus the K0 image sum,
+    # at two screenings
+    rng = np.random.default_rng(8)
+    points = [(1.0, 0.3), (2.2, -1.1), (math.pi, math.pi)]
+    points += [tuple(x) for x in rng.uniform(-math.pi, math.pi, (20, 2)).tolist()]
+    for x1, x2 in points:
+        want = g0_image_route(x1, x2, mu)
+        assert abs(field.g0_value((x1, x2)) - want) <= 1e-12, (x1, x2)
 
 
 # ------------------------------------------------------ extremal synthesis
@@ -226,11 +206,7 @@ def test_extremal_nodes_match_image_route(mu):
 
     def image_route(i, j):
         x1, x2 = float(ax[i]), float(ax[j])
-        return (
-            field.g0_value((x1, x2))
-            - 2.0 * math.pi * field._bessel_image_sum(x1, x2, mu)
-            + mu
-        )
+        return field.g0_value((x1, x2)) - 2.0 * math.pi * image_sum_ring_loop(x1, x2, mu) + mu
 
     n0 = (0, 0)
     for n in [(5, 40), (31, 33), (10, 63), (32, 0), (50, 17)]:

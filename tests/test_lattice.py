@@ -122,11 +122,15 @@ def test_critical_large_mu_power_asymptote():
 
 
 def test_critical_negative_branch():
-    # mu <= -1 is the analytic continuation; (-1, 0) is the resonance band
+    # mu < -1 is the analytic continuation; [-1, 0) is the resonance band
     s = critical_sums(-2.0)
     assert abs(s.f.value - s.mu * s.h.value - s.g.value) < 1e-11 * abs(s.f.value)
     with pytest.raises(DomainError):
         critical_sums(-0.5)
+    # at mu = -1 the |k| = 1 shell is a pole; the curve serves that
+    # endpoint in closed form
+    with pytest.raises(DomainError, match=r"resonance band \[-1, 0\)"):
+        critical_sums(-1.0)
     with pytest.raises(DomainError):
         critical_sums(0.0)
 
