@@ -72,7 +72,11 @@ _MAXIMIZER_TOL = 1e-9  # the sample spacing at which find_L and K_d(n) stop
 
 
 def envelope_max(
-    probe: Callable, phi: Callable, ts: np.ndarray, tol: float = _MAXIMIZER_TOL
+    probe: Callable,
+    phi: Callable,
+    ts: np.ndarray,
+    tol: float = _MAXIMIZER_TOL,
+    known: float = -math.inf,
 ) -> tuple:
     """Maximize J = Y(delta) - phi(delta) over a coordinate t in which delta
     increases, for phi concave and increasing (vectorized) and Y below a
@@ -83,12 +87,15 @@ def envelope_max(
     delta, and Y <= c0 + c1 delta everywhere.  A line minus phi is convex,
     so between samples a and b, for any c, J is at most line_a - phi at the
     left end or at c, or line_b - phi at c or at the right end; c is where
-    the lines cross.  Intervals whose bound beats the best sample by more
-    than its error and their ends' are bisected, as are the neighbours of an
-    interior best sample, one probe call per generation, until none wider
-    than tol is left.  Bounds are rounded out by 16 ulp of their largest
-    term.  (Pruning as in Hansen & Walster, *Global Optimization Using
-    Interval Analysis*, 2004.)
+    the lines cross.  known is a value that the maximum sought is known to
+    reach, on the range or beyond it (the incumbent; by default none): an
+    interval that cannot beat it cannot hold that maximum.  Intervals whose
+    bound beats both the best sample plus its error and known, by more than
+    their ends' errors, are bisected, as are the neighbours of an interior
+    best sample that is not below known, one probe call per generation,
+    until none wider than tol is left.  Bounds are rounded out by 16 ulp of
+    their largest term.  (Pruning against an incumbent as in Hansen &
+    Walster, *Global Optimization Using Interval Analysis*, 2004.)
     """
     t = np.asarray(ts, dtype=np.float64)
     if t.size < 2 or not np.all(np.diff(t) > 0.0):
@@ -110,8 +117,8 @@ def envelope_max(
             b0 + b1 * hi - phi(hi),
         ]) + _ULPS * (np.abs(a0) + np.abs(b0) + (np.abs(a1) + np.abs(b1)) * hi + np.abs(phi(hi)))
         best = int(np.argmax(value))
-        split = ub > value[best] + err[best] + np.maximum(err[:-1], err[1:])
-        if 0 < best < t.size - 1:
+        split = ub > max(value[best] + err[best], known) + np.maximum(err[:-1], err[1:])
+        if 0 < best < t.size - 1 and value[best] >= known:
             split[best - 1 : best + 1] = True
         at = np.nonzero(split & (np.diff(t) > tol))[0] + 1
         if at.size == 0:

@@ -285,11 +285,14 @@ def remainder_constant(
     F is Theta less the concave c delta^{d/2n}, so
     :func:`~torsob._optim.envelope_max` maximizes it in the turnover
     coordinate z = mu^{-1/(2n)}, from 200 seeds (one batched sum) on
-    [0.2, z_hi], z_hi = max(1000^{1/2n}, 6).  The tail beyond z_hi is then
-    certified once against the large-delta expansion; if that fails,
-    :class:`ToleranceUnreachableError` is raised.  K and delta_argmax are
-    the best sample's own values, unless the delta = 1 endpoint or the
-    limit at infinity wins.
+    [0.2, z_hi], z_hi = max(1000^{1/2n}, 6).  F tends to -U as delta -> inf,
+    so sup F >= -U always holds and -U is the search's incumbent: only an
+    interval whose bound beats -U can hold a finite maximizer, and in the
+    at-infinity class, where F stays below -U, no interval is refined.
+    The tail beyond z_hi is then certified once against the large-delta
+    expansion; if that fails, :class:`ToleranceUnreachableError` is
+    raised.  K and delta_argmax are the best sample's own values, unless
+    the delta = 1 endpoint or the limit at infinity wins.
     """
     d, n = case.d, case.n
     if d not in (1, 2, 3):
@@ -303,7 +306,7 @@ def remainder_constant(
     tails: dict = {}  # the tail terms of every batch of this search
     best = envelope_max(
         lambda zs: tuple(zip(*_samples_at(case, -2.0 * n * np.log(zs), cfg, tails))),
-        lambda delta: c * delta**p, np.linspace(0.2, z_hi, 200),
+        lambda delta: c * delta**p, np.linspace(0.2, z_hi, 200), known=-U,
     )[0]
     f_at_one = lowest_shell_theta(d) - c  # delta = 1 endpoint, closed form
 

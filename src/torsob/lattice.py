@@ -11,8 +11,7 @@ This module owns every infinite lattice sum in the package:
   f = sum' 1/(1+mu|k|^{2n}),  g = sum' 1/(1+mu|k|^{2n})^2,
   h = (f - g)/mu = sum' |k|^{2n}/(1+mu|k|^{2n})^2;
 * the Hardy-factorized sum  sum' |k|^{-2(1+eps)} = 4 zeta(1+eps) beta(1+eps)
-  over Z^2, plus an independent incomplete-gamma (theta-splitting)
-  evaluation used as a cross-method oracle;
+  over Z^2;
 * partial sums, rigorous tail brackets, and sum-of-two-squares counting.
 
 Three kernels sit under these sums, each written once: the shell table
@@ -64,9 +63,7 @@ __all__ = [
     "critical_sums",
     "general_sums",
     "hardy_sum",
-    "hardy_sum_theta_split",
     "beta_constant",
-    "partial_inverse_square_sum",
     "tail_bracket",
     "r2_count",
     "next_representable",
@@ -711,9 +708,11 @@ def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
 def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> list[SumTriple]:
     """[general_sums(case, mu, cfg) for mu in mus], bit for bit.  Every
     radius is picked (or refused) before any shell is summed; the mus at
-    one radius share a shell pass in row blocks, each row reduced by the
-    :func:`_dot` a single mu uses; the tail terms of each (order, radius) are
-    computed once per call, or per dict tails passed to several calls."""
+    one radius share a shell pass in row blocks.  A row is built in column
+    chunks of _DOT_BLOCK shells, never whole, and math.fsum adds the chunks'
+    :func:`_dot` partials: the bits of the whole-row :func:`_dot` that a
+    single mu uses.  The tail terms of each (order, radius) are computed
+    once per call, or per dict tails passed to several calls."""
     d, n = case.d, case.n
     if d > 3:
         raise DomainError("general_sums: dimensions d > 3 are not supported")
@@ -732,14 +731,20 @@ def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> 
         with np.errstate(over="ignore", divide="ignore"):
             qn = q**n
             for block in (rows[s : s + step] for s in range(0, len(rows), step)):
-                x = np.array([mus[i] for i in block], dtype=np.float64)[:, None] * qn
-                t = 1.0 / (1.0 + x)
-                fg = np.divide(1.0, x, out=x)  # in place: x is not needed again
-                fg += 1.0
-                fg = np.divide(t, fg, out=fg)
-                for i, t_i, fg_i in zip(block, t, fg):
-                    shell_sums[i] = [_dot(c, v) for v in (t_i, t_i * t_i, fg_i)]
-                del x, t, fg, t_i, fg_i  # free the block: a row view keeps its array
+                mu_col = np.array([mus[i] for i in block], dtype=np.float64)[:, None]
+                parts = [([], [], []) for _ in block]
+                for j in range(0, len(q), _DOT_BLOCK):
+                    c_j = c[j : j + _DOT_BLOCK]
+                    x = mu_col * qn[j : j + _DOT_BLOCK]
+                    t = 1.0 / (1.0 + x)
+                    fg = np.divide(1.0, x, out=x)  # in place: x is not needed again
+                    fg += 1.0
+                    fg = np.divide(t, fg, out=fg)
+                    for acc, t_i, fg_i in zip(parts, t, fg):
+                        for part, v in zip(acc, (t_i, t_i * t_i, fg_i)):
+                            part.append(_dot(c_j, v))
+                for i, acc in zip(block, parts):
+                    shell_sums[i] = [math.fsum(part) for part in acc]
 
     out = []
     for mu, T, shell in zip(mus, radii, shell_sums):
@@ -774,18 +779,6 @@ def hardy_sum(eps: float) -> SpecialValue:
     return _z2_moment(1.0 + eps)
 
 
-def hardy_sum_theta_split(eps: float) -> SpecialValue:
-    """Independent evaluation of the same lattice sum by incomplete-gamma
-    theta splitting (:func:`_epstein_theta_split` with d = 2, s = 1 + eps),
-    used as a cross-method oracle for :func:`hardy_sum`."""
-    import mpmath as mp
-
-    if not (eps > 0.0):
-        raise DomainError(f"hardy_sum_theta_split: need eps > 0, got {eps!r}")
-    out = _epstein_theta_split(2, mp.fadd(1, eps, exact=True))
-    return SpecialValue(out, max(1e-13 * abs(out), 1e-14))
-
-
 def beta_constant() -> SpecialValue:
     """The finite part beta of the lattice sum sum' |k|^{-2} after removing
     its logarithmic divergence: beta = pi (2 gamma + 2 log 2 + 3 log pi
@@ -799,9 +792,6 @@ def beta_constant() -> SpecialValue:
     return SpecialValue(v, 5e-14)
 
 
-#: the smallest cut of the row kernel: from there every row tail starts at
-#: a^2 + k2^2 >= _EM_RADIUS^2, where Euler-Maclaurin holds to 2.5e-16
-_EM_RADIUS = 100
 _PAIR_BLOCK = 1 << 15  # (cut, row) pairs in one block of _partial_sums_at
 
 #: (u - sin u)/u^3 = sum_{k >= 1} (-1)^(k+1) v^(k-1)/(2k+1)! in v = u^2,
@@ -934,23 +924,6 @@ def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S_high[j:k] = 4.0 * np.add.reduceat(t4, starts) - 2.0 * t4[starts] + beyond[j:k]
         j = k
     return S2, S_high
-
-
-def partial_inverse_square_sum(N: float) -> float:
-    """Sum of 1/|k|^2 over lattice points 0 < |k| <= N: below N = 100 the
-    shells summed directly, from there the one-cut S2 of
-    :func:`_partial_sums_at`, full rows less their tails."""
-    if not (N >= 1.0):
-        raise DomainError(f"partial_inverse_square_sum: need N >= 1, got {N!r}")
-    if N > 30000:
-        raise ResourceLimitError(
-            f"partial_inverse_square_sum: N={N:g} exceeds the point budget"
-        )
-    m = math.floor(N * N)
-    if m < _EM_RADIUS**2:
-        q, c = _shells(2, _EM_RADIUS)
-        return math.fsum(c[q <= m] / q[q <= m])
-    return float(_partial_sums_at(np.array([float(m)]))[0][0])
 
 
 # ---------------------------------------------------------------------------

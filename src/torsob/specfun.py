@@ -38,7 +38,6 @@ __all__ = [
     "SpecialValue",
     "EULER_GAMMA",
     "CATALAN",
-    "bessel_k",
     "lambert_w",
     "zeta_dirichlet",
     "dirichlet_beta",
@@ -47,11 +46,6 @@ __all__ = [
 
 #: Euler-Mascheroni constant, 20 correct digits.
 EULER_GAMMA = 0.57721566490153286061
-
-# Bessel K underflows to an exact IEEE zero around x ~ 745; beyond ~740 the
-# true value is below 1e-318 and we report exactly 0 with that bound.
-_BESSEL_UNDERFLOW_X = 740.0
-
 
 @dataclass(frozen=True)
 class SpecialValue:
@@ -204,37 +198,6 @@ def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(-x)
     sx = np.sqrt(x)
     return e * (s0 / sx), e * ((s0 + 2.0 * b) / sx)
-
-
-def bessel_k(order: int, x: float) -> SpecialValue:
-    """Modified Bessel function of the second kind, order 0 or 1.
-
-    Parameters
-    ----------
-    order : int
-        0 or 1.
-    x : float
-        Strictly positive argument.
-
-    Returns
-    -------
-    SpecialValue
-        K_order(x) from :func:`_bessel_k01`.  For 0 < x < 740 the bound is
-        :data:`_BESSEL_REL_BOUND` (about 2.4e-15) relative plus 5e-324
-        absolute, which covers the subnormal values past x of about 703;
-        K1 overflows to inf below x of about 1e-308.  From x = 740 on the
-        true value is below 1e-318, reported as exactly 0.0 with the
-        threshold as its bound.
-    """
-    if order not in (0, 1):
-        raise DomainError(f"bessel_k: order must be 0 or 1, got {order!r}")
-    if not (x > 0.0):
-        raise DomainError(f"bessel_k: argument must be positive, got {x!r}")
-    if x >= _BESSEL_UNDERFLOW_X:
-        # e^-x sqrt(pi/2x) < 1e-318 here: the value is not representable.
-        return SpecialValue(0.0, 1e-317)
-    v = float(_bessel_k01(np.array([x]))[order][0])
-    return SpecialValue(v, _BESSEL_REL_BOUND * abs(v) + 5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from torsob import field
-from torsob.specfun import bessel_k
+
+from scalar_oracles import bessel_k
 
 
 def image_sum_ring_loop(x1, x2, mu):

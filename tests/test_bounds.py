@@ -26,9 +26,10 @@ from torsob.lattice import (
     _shells,
     beta_constant,
     is_representable,
-    partial_inverse_square_sum,
 )
 from torsob.specfun import lambert_w, zeta_dirichlet
+
+from scalar_oracles import partial_inverse_square_sum
 
 
 def epstein(p: float) -> float:

@@ -43,9 +43,10 @@ from torsob.specfun import (
     _bessel_k01,
     _hurwitz_zeta,
     _riemann_zeta,
-    bessel_k,
     zeta_dirichlet,
 )
+
+from scalar_oracles import bessel_k
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -237,19 +238,59 @@ def test_envelope_max_holds_the_sample_errors():
     assert upper - lower < 1e-5
 
 
+def _bump_probe(ts, calls=None):
+    """Y = -(t - 2.2)^2 with samples good to 1e-6, and its tangent lines,
+    each moved up by that error."""
+    rows = [(-((t - 2.2) ** 2), 1e-6, t, 0.0, (t - 2.2) * (t + 2.2) + 1e-6, -2.0 * (t - 2.2))
+            for t in ts]
+    if calls is not None:
+        calls.append(len(ts))
+    return rows, list(ts)
+
+
 def test_envelope_max_resolves_the_argmax_below_the_sample_errors():
     # a smooth peak with samples good to 1e-6 only: the bounds stop
     # splitting at intervals about 1e-3 wide, and the neighbours of the
     # best sample are split on down to tol
-    def probe(ts):
-        # Y = -(t - 2.2)^2 and its tangent lines, each moved up by the error
-        rows = [(-((t - 2.2) ** 2), 1e-6, t, 0.0, (t - 2.2) * (t + 2.2) + 1e-6, -2.0 * (t - 2.2))
-                for t in ts]
-        return rows, list(ts)
-
-    best, lower, upper = envelope_max(probe, np.zeros_like, np.linspace(0.0, 6.0, 7), 1e-9)
+    best, lower, upper = envelope_max(_bump_probe, np.zeros_like, np.linspace(0.0, 6.0, 7), 1e-9)
     assert lower <= 0.0 <= upper
     assert abs(best - 2.2) < 1e-6
+
+
+def test_envelope_max_stops_at_an_incumbent_above_every_bound():
+    # the best seed t = 2 is interior, but below the incumbent: neither its
+    # neighbours nor any interval is split, so the seeds are the only probe
+    calls = []
+    probe = lambda ts: _bump_probe(ts, calls)  # noqa: E731
+    seeds = np.linspace(0.0, 6.0, 7)
+    best, lower, upper = envelope_max(probe, np.zeros_like, seeds, 1e-9, known=1.0)
+    assert calls == [7]
+    assert best == 2.0 and lower <= -0.04 <= upper < 1.0
+
+
+def test_envelope_max_splits_an_interval_that_beats_the_incumbent():
+    # the incumbent lies between the best seed and the peak, so the bound of
+    # [4, 5] beats it and the search still reaches the peak
+    seeds = np.linspace(0.0, 6.0, 7)
+    calls = []
+    probe = lambda ts: _envelope_probe(ts, calls)  # noqa: E731
+    best, lower, upper = envelope_max(probe, _phi, seeds, 1e-12, known=_PEAK - 0.1)
+    assert len(calls) > 1
+    assert lower <= _PEAK <= upper and upper - lower < 1e-11
+    assert abs(best - _PEAK_T) < 1e-11
+
+
+@pytest.mark.parametrize("case", ["tent", "bump"])
+def test_envelope_max_incumbent_below_the_best_sample_changes_nothing(case):
+    probe, phi, tol, seed_best = {
+        "tent": (_envelope_probe, _phi, 1e-12, 20.0 - 3.0 * 4.3),
+        "bump": (_bump_probe, np.zeros_like, 1e-9, -0.04),
+    }[case]
+    seeds = np.linspace(0.0, 6.0, 7)
+    calls, known_calls = [], []
+    plain = envelope_max(lambda ts: probe(ts, calls), phi, seeds, tol)
+    known = envelope_max(lambda ts: probe(ts, known_calls), phi, seeds, tol, known=seed_best - 1.0)
+    assert known == plain and known_calls == calls
 
 
 def test_envelope_max_needs_two_increasing_seeds():

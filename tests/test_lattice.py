@@ -33,14 +33,14 @@ from torsob.lattice import (
     critical_sums,
     general_sums,
     hardy_sum,
-    hardy_sum_theta_split,
     is_representable,
     next_representable,
-    partial_inverse_square_sum,
     r2_count,
     tail_bracket,
 )
 from torsob.specfun import dirichlet_beta_prime_at_1, zeta_dirichlet
+
+from scalar_oracles import hardy_sum_theta_split, partial_inverse_square_sum
 
 EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219

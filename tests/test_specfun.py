@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from torsob.errors import DomainError
 from torsob.specfun import (
     SpecialValue,
-    bessel_k,
     dirichlet_beta,
     dirichlet_beta_prime_at_1,
     lambert_w,
     zeta_dirichlet,
 )
+
+from scalar_oracles import bessel_k
 
 EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219
