@@ -14,14 +14,15 @@ This module owns every infinite lattice sum in the package:
   over Z^2;
 * partial sums, rigorous tail brackets, and sum-of-two-squares counting.
 
-Three kernels sit under these sums, each written once: the shell table
+Four kernels sit under these sums, each written once: the shell table
 (:func:`_shells`, distinct |k|^2 with multiplicities, built one coordinate
 at a time from the closed-form d = 1 table), the theta splitting of the
-full-lattice moments (:func:`_epstein_theta_split`), and the tail moments
+full-lattice moments (:func:`_epstein_theta_split`), the tail moments
 taken as full-lattice moment minus partial sum, clipped into their
-integral bracket (:func:`_clipped_moment`).  Every dot product (BLAS call)
-of the package goes through :func:`_dot`, whose summation order does not
-depend on the BLAS thread count.
+integral bracket (:func:`_clipped_moment`), and the screened tail
+(:func:`_screened_tail`).  Every dot product (BLAS call) of the package
+goes through :func:`_dot`, whose summation order does not depend on the
+BLAS thread count.
 
 Error accounting: every returned component carries an absolute error bound
 assembled from its tail error, explicit bounds on omitted expansion orders,
@@ -32,10 +33,14 @@ decreasing tail between two closed-form integrals over annuli that cover
 the lattice cells; the clipped moments (:func:`_clipped_moment`) subtract a
 partial sum from the full-lattice moment and charge the noise of that
 cancellation, near 1e-14 of the moment, whenever it is below the sandwich
-width; and the 1/x expansion 1/(1 + x) = sum_m (-1)^{m+1} x^{-m}, with
-x = mu |k|^{2n} large on the tail, turns a screened tail into moments and
-bounds its omitted orders by the first of them (or by a geometric factor
-where the signs do not alternate).
+width; and one function, :func:`_screened_tail`, completes every direct
+sum sum' q^{-s} (1 + mu q^n)^{-p} (the critical triple with s = 1, n = 1,
+the (d, n) triple with s = 0, and the mixed norm of :mod:`torsob.bounds`
+with s = 1 - eps).  With x = mu q^n large on the tail, it expands
+1/(1 + x) = sum_m (-1)^{m+1} x^{-m} into moments and bounds the omitted
+orders by the first of them, times a geometric factor, for either sign of
+mu; :func:`_shell_sums` sums the same terms over the shells up to the
+radius.
 """
 
 from __future__ import annotations
@@ -296,14 +301,13 @@ def tail_bracket(R: float, mu: float) -> tuple[float, float]:
 # the 2D critical triple
 # ---------------------------------------------------------------------------
 #
-# With eps = 1/mu the summands factor through q = |k|^2:
-#   f = eps * sum' 1/(q(q+eps)),
-#   g = eps^2 * sum' 1/(q(q+eps)^2),
-#   h = eps^2 * sum' 1/(q+eps)^2.
-# The parametrization is regular on eps in (-1, 0) u (0, inf); mu in [-1, 0)
-# corresponds to eps <= -1, where q + eps can vanish on a lattice shell (at
-# mu = -1 it does, on q = 1), and is rejected.  The curve module serves the
-# resonant endpoint mu = -1 in closed form.
+# With q = |k|^2 and x = mu q the summands are
+#   f = sum' 1/(q (1 + x)),  g = sum' 1/(q (1 + x)^2),
+#   h = sum' 1/(1 + x)^2 = (f - g)/mu.
+# For mu < -1 every 1 + x is at most 1 + mu < 0, so all terms are finite;
+# mu in [-1, 0) corresponds to 1 + x vanishing on or crossing a shell (at
+# mu = -1 on q = 1) and is rejected.  The curve module serves the resonant
+# endpoint mu = -1 in closed form.
 
 
 def _z2_moment(j: float) -> SpecialValue:
@@ -396,33 +400,17 @@ def _clipped_moment(
     return 0.5 * (lo + hi), 0.5 * (hi - lo), noise
 
 
-def _tail_moments(q: np.ndarray, c: np.ndarray, T: int) -> tuple[dict, dict, dict, dict]:
-    """Tail moments  sum_{q > T^2} (mult) q^{-j}, j = 2..6, over Z^2 with
-    certified errors (see :func:`_clipped_moment`).  Returns (estimates,
-    errors, bracket upper bounds, subtraction noise levels)."""
-    mids: dict[int, float] = {}
-    errs: dict[int, float] = {}
-    ups: dict[int, float] = {}
-    noises: dict[int, float] = {}
-    for j in (2, 3, 4, 5, 6):
-        lo, hi = _power_tail_bracket(2, 2 * j, float(T))
-        mids[j], errs[j], noises[j] = _clipped_moment(2, j, q, c, lo, hi)
-        ups[j] = hi
-    return mids, errs, ups, noises
-
-
 def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
-    eps = 1.0 / mu
-    abs_eps = abs(eps)
+    """The critical triple by the shell pass and :func:`_screened_tail` with
+    d = 2, n = 1 and weight q^{-1}; h = (f - g)/mu.  T grows by 1.6 from
+    max(48, 8 sqrt(1/|mu|) + 1), so |mu| q >= 64 on the tail.  Truncation
+    and subtraction noise are held against the target; the rounding
+    allowance of the shell sums is reported only, as it scales with the
+    values, which blow up near the resonance.  The series runs to
+    1e-16 of the smallest shell sum, or to tol/12 if that is lower."""
     tol = cfg.target_abs_tol
-
-    # initial truncation radius: tail series in eps/q needs q > 2|eps|;
-    # the second guess aims the j=3 omitted term near the tolerance.
-    T = max(
-        48,
-        int(2.0 * math.sqrt(abs_eps)) + 2,
-        int((max(abs_eps, 1.0) ** 3 / max(tol, 1e-14)) ** 0.125) + 1,
-    )
+    T = max(48, int(8.0 * math.sqrt(abs(1.0 / mu))) + 1)
+    tails: dict = {}
     while True:
         if T > cfg.max_radius:
             raise ToleranceUnreachableError(
@@ -430,66 +418,35 @@ def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
                 f"within max_radius={cfg.max_radius} (accelerated method "
                 "converges exponentially for mu > 0)"
             )
-        q, c = _shells(2, T)
-        qe = q + eps
-        s1 = _dot(c, 1.0 / (q * qe))
-        s2 = _dot(c, 1.0 / (q * qe * qe))
-        s3 = _dot(c, 1.0 / (qe * qe))
-
-        mids, merr, mup, mnoise = _tail_moments(q, c, T)
-        e2 = eps * eps
-        geom = 1.0 / (1.0 - abs_eps / (T * T))  # series safety factor
-        t1 = mids[2] - eps * mids[3] + e2 * mids[4]
-        t2 = mids[3] - 2.0 * eps * mids[4] + 3.0 * e2 * mids[5]
-        t3 = mids[2] - 2.0 * eps * mids[3] + 3.0 * e2 * mids[4]
-        r1 = merr[2] + abs_eps * merr[3] + e2 * merr[4] + abs_eps**3 * mup[5] * geom
-        r2_ = (
-            merr[3]
-            + 2.0 * abs_eps * merr[4]
-            + 3.0 * e2 * merr[5]
-            + 4.0 * abs_eps**3 * mup[6] * geom
-        )
-        r3 = (
-            merr[2]
-            + 2.0 * abs_eps * merr[3]
-            + 3.0 * e2 * merr[4]
-            + 4.0 * abs_eps**3 * mup[5] * geom
-        )
-
-        f = eps * (s1 + t1)
-        g = e2 * (s2 + t2)
-        h = e2 * (s3 + t3)
-        # rounding allowances scale with the value itself; they are reported
-        # but not held against the target (near the resonance the values
-        # blow up and only relative accuracy is meaningful there).
-        round_f = 4e-15 * abs_eps * abs(s1)
-        round_g = 4e-15 * e2 * abs(s2)
-        round_h = 4e-15 * e2 * abs(s3)
-        err_f = abs_eps * r1
-        err_g = e2 * r2_
-        err_h = e2 * r3
-        if max(err_f, err_g, err_h) <= tol:
+        shell = _shell_sums(2, 1, 1, [mu], T)[0]
+        stop = min(tol / 12.0, 1e-16 * min(abs(v) for v in shell))
+        *tail, ctrl, noise = _screened_tail(2, 1, 1, mu, T, stop, tails)
+        f, g, fg = (a + b for a, b in zip(shell, tail))
+        held = [e + nz for e, nz in zip(ctrl, noise)]
+        held[2] /= abs(mu)
+        if max(held) <= tol:
+            h = fg / mu
+            rnd = [4e-15 * abs(v) for v in shell]
+            err_h = held[2] + rnd[2] / abs(mu) + 4e-16 * abs(h)
             return SumTriple(
                 mu,
-                SpecialValue(f, err_f + round_f),
-                SpecialValue(g, err_g + round_g),
-                SpecialValue(h, err_h + round_h),
+                SpecialValue(f, held[0] + rnd[0]),
+                SpecialValue(g, held[1] + rnd[1]),
+                SpecialValue(h, err_h),
                 "direct",
             )
-        # Growing T shrinks bracket widths and omitted-order pieces, but the
-        # subtraction noise in each moment difference is T-independent, so
-        # the best achievable error for moment j is min(noise_j, half-width
-        # at max_radius).  If even that floor misses the target, stop now
-        # instead of enumerating ever larger disks.
-        flo = {}
-        for j in (2, 3, 4, 5):
-            wlo, whi = _power_tail_bracket(2, 2 * j, float(cfg.max_radius))
-            flo[j] = min(mnoise[j], 0.5 * (whi - wlo))
-        noise_floor = max(
-            abs_eps * (flo[2] + abs_eps * flo[3] + e2 * flo[4]),
-            e2 * (flo[3] + 2.0 * abs_eps * flo[4] + 3.0 * e2 * flo[5]),
-            e2 * (flo[2] + 2.0 * abs_eps * flo[3] + 3.0 * e2 * flo[4]),
-        )
+        # A larger T shrinks the bracket widths, but not the subtraction
+        # noise of a moment, so order m can get no closer than
+        # min(noise, half-width at max_radius).  If those floors miss the
+        # target, stop now instead of enumerating ever larger disks.
+        flo = [0.0, 0.0, 0.0]
+        m = 1
+        while ("moment", m + 1, T) in tails:
+            lo, hi = _power_tail_bracket(2, 2.0 * (m + 1), float(cfg.max_radius))
+            fl = abs(mu) ** -m * min(tails["moment", m + 1, T][2], 0.5 * (hi - lo))
+            flo = [e + w * fl for e, w in zip(flo, (1, m - 1, m))]
+            m += 1
+        noise_floor = max(flo[0], flo[1], flo[2] / abs(mu))
         if noise_floor > tol:
             raise ToleranceUnreachableError(
                 f"critical_sums(direct): error floor {noise_floor:.2e} exceeds "
@@ -629,57 +586,106 @@ def general_sums(
     return _general_sums_batch(case, [mu], cfg)[0]
 
 
-def _general_tail(case, mu, T, tol, tails, f=0.0, g=0.0, fg=0.0):
-    """The sums f, g and fg = f - g over |k| <= T, completed beyond T by
-    1/(1+x) = sum_m (-1)^{m+1} x^{-m} (coefficients m - 1 for 1/(1+x)^2 and
-    m for the difference) with mu^{-m} in log space.  As x >= 8^{2n} >= 64
-    on the tail, the terms alternate and decrease, and an order provably
-    below tol ends the series with its bound.  Moments are exact (Hurwitz
-    zeta, d = 1) or clipped (:func:`_clipped_moment`) and, like brackets,
-    kept in tails.  Returns (f, g, fg, ctrl, floor): the errors that a larger
-    T reduces, which depend on mu and T alone, and the rounding and
-    subtraction noise that none does, reported but not held against tol."""
-    d, n = case.d, case.n
+def _screened_tail(d, n, s, mu, T, stop, tails, f=0.0, g=0.0, fg=0.0):
+    """The screened sums sum' q^{-s} (1 + mu q^n)^{-p} over Z^d, q = |k|^2,
+    for p = 1 (f) and p = 2 (g) and their difference fg = f - g, given
+    their parts over |k| <= T and completed beyond T by
+    1/(1+x) = sum_m (-1)^{m+1} x^{-m}, x = mu q^n (coefficients m - 1 for
+    1/(1+x)^2 and m for the difference), with |mu|^{-m} in log space.  The
+    order-m moment is the tail sum of q^{-(m n + s)}.  The caller's radius
+    keeps |x| >= 64 on the tail (>= 9 for the f of the mixed norm in
+    :mod:`torsob.bounds`): for mu > 0 the terms alternate and decrease, for
+    mu < 0 they share one sign and fall geometrically, and in either case
+    an order whose bracket top is below stop ends the series, 1.25 times
+    that top covering the rest.  Moments are exact (Hurwitz zeta, d = 1) or
+    clipped (:func:`_clipped_moment`) and, like brackets, kept in tails
+    under (kind, moment exponent, T).  Returns (f, g, fg, ctrl, floor): the
+    errors that a larger T reduces, and the rounding (4e-15 of the given
+    sums) and subtraction noise that none does."""
 
-    def shared(kind: str, m: int, compute):
-        if (kind, m, T) not in tails:
-            tails[kind, m, T] = compute()
-        return tails[kind, m, T]
-
-    log_mu = math.log(mu)
-    sums, ctrl, floor = [f, g, fg], [0.0, 0.0, 0.0], [4e-15 * f, 4e-15 * g, 4e-15 * fg]
+    table = ()  # the shells up to T, looked up at the first clipped moment
+    log_mu = math.log(abs(mu))
+    cf = cg = cfg = 0.0
+    nf, ng, nfg = 4e-15 * abs(f), 4e-15 * abs(g), 4e-15 * abs(fg)
     m = 0
     while True:
         m += 1
-        p = 2.0 * n * m  # > d, as CaseDN admits only 2n > d
-        lo, hi = shared("bracket", m, lambda: _power_tail_bracket(d, p, float(T)))
-        u_skip = math.exp(-m * log_mu + math.log(hi)) if hi > 0.0 else 0.0
-        if u_skip * m <= tol / 12.0:
-            # this and (by the x >= 64 decay) all higher orders are
-            # negligible; 1.25 covers the geometric rest
-            ctrl = [e + 1.25 * w * u_skip for e, w in zip(ctrl, (1, m, m + 1.0))]
+        j = m * n + s  # 2j > d: CaseDN admits only 2n > d, and s >= 0
+        key = ("bracket", j, T)
+        if key not in tails:
+            tails[key] = _power_tail_bracket(d, 2.0 * j, float(T))
+        lo, hi = tails[key]
+        u = math.exp(-m * log_mu + math.log(hi)) if hi > 0.0 else 0.0
+        if u * m <= stop:
+            cf, cg, cfg = cf + 1.25 * u, cg + 1.25 * m * u, cfg + 1.25 * (m + 1.0) * u
             break
-        sign = -1.0 if m % 2 == 0 else 1.0
+        sign = -1.0 if mu < 0.0 or m % 2 == 0 else 1.0
+        key = ("moment", j, T)
         if d == 1:
-            moment = shared("moment", m, lambda: 2.0 * _hurwitz_zeta(p, float(T + 1)))
+            if key not in tails:
+                tails[key] = 2.0 * _hurwitz_zeta(2.0 * j, float(T + 1))
+            moment = tails[key]
             term = math.exp(-m * log_mu + math.log(moment)) if moment > 0.0 else 0.0
-            floor_err, ctrl_err = 8e-16 * term, 0.0
+            noise_m, ctrl_m = 8e-16 * term, 0.0
         else:
-            est, err, noise = shared(
-                "moment", m, lambda: _clipped_moment(d, m * n, *_shells(d, T), lo, hi)
-            )
+            if key not in tails:
+                table = table or _shells(d, T)
+                tails[key] = _clipped_moment(d, j, *table, lo, hi)
+            est, err, noise = tails[key]
             scaled = math.exp(-m * log_mu + math.log(err)) if err > 0.0 else 0.0
             # subtraction noise is a floor; a bracket half-width shrinks with T
-            floor_err, ctrl_err = (scaled, 0.0) if err == noise else (0.0, scaled)
+            noise_m, ctrl_m = (scaled, 0.0) if err == noise else (0.0, scaled)
             term = math.exp(-m * log_mu + math.log(est)) if est > 0.0 else 0.0
         # order m enters f, g and fg with weights 1, -(m - 1) and m
-        sums = [v + sign * w * term for v, w in zip(sums, (1, 1.0 - m, m))]
-        ctrl = [e + w * ctrl_err for e, w in zip(ctrl, (1, m - 1.0, m))]
-        floor = [e + w * floor_err for e, w in zip(floor, (1, m - 1.0, m))]
-        if m >= 8:  # defensive: the skip rule always fires well before
-            ctrl = [e + w * u_skip for e, w in zip(ctrl, (1, m, m + 1.0))]
+        f, g, fg = f + sign * term, g + sign * (1.0 - m) * term, fg + sign * m * term
+        cf, cg, cfg = cf + ctrl_m, cg + (m - 1.0) * ctrl_m, cfg + m * ctrl_m
+        nf, ng, nfg = nf + noise_m, ng + (m - 1.0) * noise_m, nfg + m * noise_m
+        if m >= 8:
+            # Fires for n = 1 at small mu, where x on the tail starts near
+            # its floor (64 at T = 8z, 9 for the mixed norm) and the terms
+            # fall like (mu T^2)^-m, times T in d = 1: it ends 312 of the 408
+            # tails of remainder_constant(CaseDN(1, 1)) and sets the (1, 1)
+            # radius at small mu (1,922 where 1,201 would do at z = 150).
+            cf, cg, cfg = cf + u, cg + m * u, cfg + (m + 1.0) * u
             break
-    return (*sums, ctrl, floor)
+    return f, g, fg, [cf, cg, cfg], [nf, ng, nfg]
+
+
+def _shell_sums(d: int, n: int, s, mus, T: int) -> list[list[float]]:
+    """[f, g, fg] over 0 < |k| <= T of :func:`_screened_tail`'s sums, for
+    each mu of mus (all of one sign), in row blocks of mus sharing the
+    shells.  A row is built in column chunks of _DOT_BLOCK shells, never
+    whole, and math.fsum adds the chunks' :func:`_dot` partials: the bits
+    of the whole-row :func:`_dot` that a single mu uses.  f - g sums
+    t (1 - t) without cancellation, t = 1/(1 + x): for mu > 0 as
+    t/(1 + 1/x), which keeps every digit of x/(1 + x) even where x << 1
+    and 1 - t would round to 0; for mu < 0 as t (1 - t), as 1 - t > 1
+    there while 1 + 1/x cancels at x = -1."""
+    q, c = _shells(d, T)
+    w = c / q**s if s else c
+    step = max(1, _BLOCK // len(q))
+    out = []
+    # overflow -> inf -> term underflows to 0, correctly
+    with np.errstate(over="ignore", divide="ignore"):
+        qn = q**n
+        for b in range(0, len(mus), step):
+            mu_col = np.array(mus[b : b + step], dtype=np.float64)[:, None]
+            parts = [([], [], []) for _ in mu_col]
+            for j in range(0, len(q), _DOT_BLOCK):
+                w_j = w[j : j + _DOT_BLOCK]
+                x = mu_col * qn[j : j + _DOT_BLOCK]
+                t = 1.0 / (1.0 + x)
+                if mus[0] < 0.0:
+                    fg = t * (1.0 - t)
+                else:
+                    fg = np.divide(1.0, x, out=x)  # in place: x is not needed again
+                    fg += 1.0
+                    fg = np.divide(t, fg, out=fg)
+                for acc, t_i, fg_i in zip(parts, t, fg):
+                    for part, v in zip(acc, (t_i, t_i * t_i, fg_i)):
+                        part.append(_dot(w_j, v))
+            out.extend([math.fsum(part) for part in acc] for acc in parts)
+    return out
 
 
 def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
@@ -700,7 +706,7 @@ def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
             f"general_sums: screening radius {T} for (d={d}, n={n}, "
             f"mu={mu:g}) exceeds the enumeration cap {cap}"
         )
-    while max(_general_tail(case, mu, T, tol, tails)[3][:2]) > tol and T < cap:
+    while max(_screened_tail(d, n, 0, mu, T, tol / 12.0, tails)[3][:2]) > tol and T < cap:
         T = min(int(T * 1.6) + 1, cap)
     return T
 
@@ -708,11 +714,9 @@ def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
 def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> list[SumTriple]:
     """[general_sums(case, mu, cfg) for mu in mus], bit for bit.  Every
     radius is picked (or refused) before any shell is summed; the mus at
-    one radius share a shell pass in row blocks.  A row is built in column
-    chunks of _DOT_BLOCK shells, never whole, and math.fsum adds the chunks'
-    :func:`_dot` partials: the bits of the whole-row :func:`_dot` that a
-    single mu uses.  The tail terms of each (order, radius) are computed
-    once per call, or per dict tails passed to several calls."""
+    one radius share one :func:`_shell_sums` pass.  The tail terms of each
+    (order, radius) are computed once per call, or per dict tails passed to
+    several calls."""
     d, n = case.d, case.n
     if d > 3:
         raise DomainError("general_sums: dimensions d > 3 are not supported")
@@ -723,32 +727,12 @@ def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> 
     shell_sums: list = [None] * len(radii)
     for T in sorted(set(radii), reverse=True):
         rows = [i for i, r in enumerate(radii) if r == T]
-        q, c = _shells(d, T)
-        step = max(1, _BLOCK // len(q))
-        # overflow -> inf -> term underflows to 0, correctly.  f - g sums
-        # t (1 - t) without cancellation: 1 - t = 1/(1 + 1/x) keeps every
-        # digit of x/(1 + x) even where x << 1 and 1 - t would round to 0
-        with np.errstate(over="ignore", divide="ignore"):
-            qn = q**n
-            for block in (rows[s : s + step] for s in range(0, len(rows), step)):
-                mu_col = np.array([mus[i] for i in block], dtype=np.float64)[:, None]
-                parts = [([], [], []) for _ in block]
-                for j in range(0, len(q), _DOT_BLOCK):
-                    c_j = c[j : j + _DOT_BLOCK]
-                    x = mu_col * qn[j : j + _DOT_BLOCK]
-                    t = 1.0 / (1.0 + x)
-                    fg = np.divide(1.0, x, out=x)  # in place: x is not needed again
-                    fg += 1.0
-                    fg = np.divide(t, fg, out=fg)
-                    for acc, t_i, fg_i in zip(parts, t, fg):
-                        for part, v in zip(acc, (t_i, t_i * t_i, fg_i)):
-                            part.append(_dot(c_j, v))
-                for i, acc in zip(block, parts):
-                    shell_sums[i] = [math.fsum(part) for part in acc]
+        for i, shell in zip(rows, _shell_sums(d, n, 0, [mus[i] for i in rows], T)):
+            shell_sums[i] = shell
 
     out = []
     for mu, T, shell in zip(mus, radii, shell_sums):
-        f, g, fg, ctrl, floor = _general_tail(case, mu, T, tol, tails, *shell)
+        f, g, fg, ctrl, floor = _screened_tail(d, n, 0, mu, T, tol / 12.0, tails, *shell)
         # past tol T is the cap, which cannot grow; the bounds stay
         # rigorous, so they are returned while tiny relative to the values
         # themselves (the d = 3 small-mu regime lands here)

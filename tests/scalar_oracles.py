@@ -1,8 +1,9 @@
-"""Scalar references that only the tests call, each on top of a library
-kernel: the Hardy sum by theta splitting, the partial inverse-square sum
-and Bessel K at one point.
+"""Scalar references that only the tests call: the Hardy sum by theta
+splitting, the partial inverse-square sum and Bessel K at one point, each
+on top of a library kernel, and the critical triple at |mu| > 1 in mpmath.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -67,3 +68,48 @@ def bessel_k(order: int, x: float) -> SpecialValue:
         return SpecialValue(0.0, 1e-317)
     v = float(_bessel_k01(np.array([x]))[order][0])
     return SpecialValue(v, _BESSEL_REL_BOUND * abs(v) + 5e-324)
+
+
+@functools.lru_cache(maxsize=None)
+def _z2_less_lowest_shell(j: int):
+    """Z2(j) - 4 = 4 zeta(j) beta(j) - 4 at 60 digits: the lattice sum of
+    |k|^{-2j} over Z^2 without its four points at |k| = 1.  The absolute
+    error is below 1e-58 for every j, which is what the series below need."""
+    with mp.workdps(60):
+        return 4 * mp.zeta(j) * mp.dirichlet(j, [0, 1, 0, -1]) - 4
+
+
+def critical_triple_mp(mu: float):
+    """The critical triple (f, g, h) at |mu| > 1 to 50 digits, as mpf.
+
+    The q = |k|^2 = 1 shell is taken in closed form, 4/(1+mu), 4/(1+mu)^2
+    and 4/(1+mu)^2; the rest is the power series in eps = 1/mu,
+
+        f - 4/(1+mu)   = eps   sum_k (-eps)^k (Z2(k+2) - 4),
+        g - 4/(1+mu)^2 = eps^2 sum_k (k+1) (-eps)^k (Z2(k+3) - 4),
+        h - 4/(1+mu)^2 = eps^2 sum_k (k+1) (-eps)^k (Z2(k+2) - 4),
+
+    with Z2(j) = 4 zeta(j) beta(j) (Borwein, Glasser, McPhedran, Wan &
+    Zucker, Lattice Sums Then and Now, 2013).  Z2(j) - 4 is below 9 2^-j
+    for j >= 2, so the series fall with ratio |eps|/2 <= 1/2; they stop
+    where that bound on the rest is below 1e-58.
+    """
+    if not abs(mu) > 1.0:
+        raise DomainError(f"critical_triple_mp: need |mu| > 1, got {mu!r}")
+    with mp.workdps(60):
+        m = mp.mpf(mu)
+        eps = 1 / m
+        r = abs(eps) / 2
+        terms = int(mp.ceil(mp.log(mp.mpf(10) ** -62) / mp.log(r))) + 20
+        f = g = h = mp.mpf(0)
+        for k in range(terms):
+            a = (-eps) ** k
+            f += a * _z2_less_lowest_shell(k + 2)
+            g += (k + 1) * a * _z2_less_lowest_shell(k + 3)
+            h += (k + 1) * a * _z2_less_lowest_shell(k + 2)
+        one = 1 + m
+        return (
+            4 / one + eps * f,
+            4 / one**2 + eps**2 * g,
+            4 / one**2 + eps**2 * h,
+        )

@@ -40,7 +40,11 @@ from torsob.lattice import (
 )
 from torsob.specfun import dirichlet_beta_prime_at_1, zeta_dirichlet
 
-from scalar_oracles import hardy_sum_theta_split, partial_inverse_square_sum
+from scalar_oracles import (
+    critical_triple_mp,
+    hardy_sum_theta_split,
+    partial_inverse_square_sum,
+)
 
 EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219
@@ -103,6 +107,17 @@ def test_critical_dual_route(mu):
     assert s1.method == "direct" and s2.method == "accelerated"
     for a, b in ((s1.f, s2.f), (s1.g, s2.g), (s1.h, s2.h)):
         assert abs(a.value - b.value) < 1e-10 * max(1.0, abs(a.value))
+
+
+@pytest.mark.parametrize(
+    "mu", [-1.0000001, -1.00001, -1.001, -1.5, -20.0, 4.5, 6.0, 50.0]
+)
+def test_critical_direct_within_its_bound_of_50_digit_references(mu):
+    # near the resonance 1 + mu q is tiny on q = 1; the shell pass forms it
+    # exactly there and sums f - g as t (1 - t), which does not cancel
+    s = critical_sums(mu, method="direct")
+    for sv, ref in zip((s.f, s.g, s.h), critical_triple_mp(mu)):
+        assert abs(mp.mpf(sv.value) - ref) <= sv.abs_error_bound
 
 
 def test_critical_small_mu_log_asymptote():
@@ -207,6 +222,33 @@ def test_general_sums_h_keeps_shells_with_small_x(d, n, mu):
     assert abs(h.value - ref) <= 4e-16 * ref
 
 
+@pytest.mark.parametrize(
+    "d, n, z, bits",
+    [
+        # the 8-order cap of the tail series sets the radius (1922, not 1201)
+        (1, 1, 150.0, (
+            "0x1.d63d286bfe4d9p+8", "0x1.fc984b7ae60dbp-40",
+            "0x1.d53d286bfe4d9p+7", "0x1.097e206912d41p-40",
+            "0x1.4392f66967359p+22", "0x1.7617c7194cb27p-26",
+        )),
+        # the d = 3 radius cap, where the 1e-7 relative rule returns the sums
+        (3, 2, 12.0, (
+            "0x1.78d7d196630d1p+14", "0x1.43af607ca48bfp-12",
+            "0x1.78cbd194b1b36p+12", "0x1.43a8b4d82a929p-12",
+            "0x1.65b8a7f24922fp+28", "0x1.99a5bbb74c67ep+3",
+        )),
+        (2, 3, 3.0, (
+            "0x1.097f7e5312e9cp+5", "0x1.5bca61705a55fp-35",
+            "0x1.5cbc4ea220db1p+4", "0x1.b05f0b2c3be36p-44",
+            "0x1.0381f0c4b9141p+13", "0x1.ee450586644b7p-26",
+        )),
+    ],
+)
+def test_general_sums_frozen_bits(d, n, z, bits):
+    s = general_sums(CaseDN(d, n), z ** (-2.0 * n))
+    assert tuple(x.hex() for sv in (s.f, s.g, s.h) for x in (sv.value, sv.abs_error_bound)) == bits
+
+
 def test_general_sums_cap_raises():
     # d = 3 at tiny mu needs an enumeration radius beyond any sane budget
     with pytest.raises(ToleranceUnreachableError):
@@ -243,7 +285,7 @@ def test_general_sums_batch_is_the_scalar_call_bit_for_bit(d, n):
     for z, mu in zip(zs, mus):
         T = lattice._general_radius(case, mu, cfg.target_abs_tol, cap, {})
         climbs += T > max(lattice._BASE_RADIUS[d], int(8.0 * z) + 1)
-        ctrl = lattice._general_tail(case, mu, T, cfg.target_abs_tol, {})[3]
+        ctrl = lattice._screened_tail(d, n, 0, mu, T, cfg.target_abs_tol / 12.0, {})[3]
         at_cap += T == cap and max(ctrl[:2]) > cfg.target_abs_tol
     if (d, n) in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 6)):
         assert climbs > 0
