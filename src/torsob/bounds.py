@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .lattice import (
     _dot,
     _largest_two_squares,
     _partial_sums_at,
+    _SHELL_BLOCK,
     _screened_tail,
+    _shell_block,
     _shells,
     _z2_moment,
     critical_sums,
@@ -156,10 +159,12 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
     radii (squared norms representable as a sum of two squares) are cuts;
     ties break toward the smaller radius.  With n*^2 = delta log delta, the
     minimum runs over every shell radius with N^2 <= max(16 n*^2, 400)
-    while n*^2 < 1e5, by running sums over the shell table (S_high as
-    Z2(2) less the whole table plus the shells above each cut, smallest
-    first).  Above that it runs over the integer points of a geometric grid
-    of 700 points on [n*^2/6, 6 n*^2], where both sums equal those of the
+    while n*^2 < 1e5, by two passes that stream the shells block by block
+    and keep no table (:func:`_split_over_shells`: S_high as Z2(2) less
+    every shell up to the last cut, plus the shells above each cut,
+    smallest first); the winning cut is itself a shell.  Above that it
+    runs over the integer points of a geometric grid of 700 points on
+    [n*^2/6, 6 n*^2], where both sums equal those of the
     shell at or below, from the row kernel :func:`~torsob.lattice._partial_sums_at`:
     each lattice row closed in k2 less its Euler-Maclaurin tail (first
     omitted term below 2.5e-16 of the tail), the rows past the cut as
@@ -175,27 +180,59 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
             "the lattice point budget"
         )
     if n_star2 < _EXACT_ENUM_LIMIT:
-        # every shell is a cut: cumulative sums over the cached shell table
-        m_cap = int(max(16.0 * n_star2, 400.0))
-        q, c = _shells(2, math.isqrt(m_cap) + 1)
-        n = int(np.searchsorted(q, float(m_cap), side="right"))
-        cands, c = q[:n], c[:n]
-        S2 = np.cumsum(c / cands)
-        t4 = c / (cands * cands)
-        # the |k|^-4 tail above each cut, summed smallest term first; the
-        # complement Z2(2) - cumsum would lose the small tail to cancellation
-        tail = np.zeros(n)
-        tail[:-1] = np.cumsum(t4[:0:-1])[::-1]
-        S_high = (_z2_moment(2).value - math.fsum(t4)) + tail
-    else:
-        # ties go to the first, smallest point, and so to the smaller shell
-        raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
-        cands = np.unique(raw).astype(np.float64)
-        S2, S_high = _partial_sums_at(cands)
-    S_high = np.maximum(S_high, 0.0)
-    vals = (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
+        return _split_over_shells(delta, int(max(16.0 * n_star2, 400.0)))
+    # ties go to the first, smallest point, and so to the smaller shell
+    raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
+    cands = np.unique(raw).astype(np.float64)
+    vals = _split_objective(delta, *_partial_sums_at(cands))
     i = int(np.argmin(vals))
     return float(vals[i]), math.sqrt(_largest_two_squares(int(cands[i])))
+
+
+def _split_objective(delta: float, S2: np.ndarray, S_high: np.ndarray) -> np.ndarray:
+    """P's objective at cuts with sums S_low = S2 and S_high."""
+    S_high = np.maximum(S_high, 0.0)
+    return (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
+
+
+def _split_over_shells(delta: float, m_cap: int) -> tuple[float, float]:
+    """(P, N) of the split objective minimized over every shell q <= m_cap.
+
+    Two passes stream the blocks of :func:`~torsob.lattice._shell_block`
+    over (0, m_cap] and keep no table.  The ascending one records S_low
+    below each block and sums the |k|^-4 terms exactly (math.fsum); the
+    descending one sums the |k|^-4 tail above each cut, smallest term first
+    (the complement Z2(2) - running sum would lose the small tail to
+    cancellation), and keeps the first minimum.  Each running sum is an
+    np.cumsum with the carry of the blocks before it prepended, so every cut
+    sees the additions, in the order, of one cumsum over the whole table.
+    """
+    blocks = [(lo, min(lo + _SHELL_BLOCK, m_cap)) for lo in range(0, m_cap, _SHELL_BLOCK)]
+    carries = []  # S_low below each block
+
+    def t4_terms():
+        s2 = 0.0
+        for lo, hi in blocks:
+            carries.append(s2)
+            q, c = _shell_block(2, lo, hi)
+            s2 = float(np.cumsum(np.concatenate(([s2], c / q)))[-1])
+            yield (c / (q * q)).tolist()
+
+    beyond = _z2_moment(2).value - math.fsum(chain.from_iterable(t4_terms()))
+    best, cut, tail = math.inf, 0.0, 0.0  # tail: the |k|^-4 sum above the block
+    for (lo, hi), s2 in zip(blocks[::-1], carries[::-1]):
+        q, c = _shell_block(2, lo, hi)
+        if not len(q):
+            continue
+        t4 = c / (q * q)
+        S2 = np.cumsum(np.concatenate(([s2], c / q)))[1:]
+        above = np.cumsum(np.concatenate(([tail], t4[:0:-1])))[::-1]
+        tail = float(above[0] + t4[0])
+        vals = _split_objective(delta, S2, beyond + above)
+        i = int(np.argmin(vals))
+        if vals[i] <= best:  # ties go to the lower block
+            best, cut = float(vals[i]), float(q[i])
+    return best, math.sqrt(cut)
 
 
 def first_method_bound(delta: float) -> float:

@@ -50,8 +50,9 @@ __all__ = [
 
 _MIN_RESOLUTION = 32
 #: the largest grid FourierInput.synthesize and extremal_field build: a
-#: 2048^2 complex grid and its inverse FFT take about 200 MiB, near the
-#: 216 MiB peak of the largest shell table, _shells(2, 6000)
+#: 2048^2 complex grid and its inverse FFT take about 200 MiB, a little
+#: above the 158 MiB traced peak of building the largest shell table,
+#: _shells(2, 6000), from an empty cache
 _MAX_SYNTH_RESOLUTION = 2048
 
 

@@ -15,11 +15,12 @@ This module owns every infinite lattice sum in the package:
 * partial sums, rigorous tail brackets, and sum-of-two-squares counting.
 
 Four kernels sit under these sums, each written once: the shell table
-(:func:`_shells`, distinct |k|^2 with multiplicities, built one coordinate
-at a time from the closed-form d = 1 table), the theta splitting of the
-full-lattice moments (:func:`_epstein_theta_split`), the tail moments
-taken as full-lattice moment minus partial sum, clipped into their
-integral bracket (:func:`_clipped_moment`), and the screened tail
+(:func:`_shells`, distinct |k|^2 with multiplicities, grown annulus by
+annulus from :func:`_shell_block`, which counts fixed blocks of squared
+norms), the theta splitting of the full-lattice moments
+(:func:`_epstein_theta_split`), the tail moments taken as full-lattice
+moment minus partial sum, clipped into their integral bracket
+(:func:`_clipped_moment`), and the screened tail
 (:func:`_screened_tail`).  Every dot product (BLAS call) of the package
 goes through :func:`_dot`, whose summation order does not depend on the
 BLAS thread count.
@@ -178,45 +179,103 @@ def _shells(d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     multiplicities, for k in Z^d.  Cached per dimension; the cache only
     grows.
 
-    d = 1 is the closed form q = k^2 with count 2.  Each further coordinate
-    k_d = k is added to the table of one dimension less, origin included:
-    the points (k', +-k) with |k'|^2 <= radius^2 - k^2 land on the squared
-    norms k^2 + q' with count (1 if k = 0 else 2) * c'.  The counts are
-    accumulated as int32 and converted to float64 once, so every order of
-    accumulation gives the same table."""
+    A radius within the cached one is a slice of the cached table.  A larger
+    one appends the annulus :func:`_shell_block` (d, r0^2, radius^2) to the
+    cached table of radius r0 (r0 = 0 when there is none), so each squared
+    norm is enumerated once per session, in scratch of one block whatever
+    the radius.  The counts are exact integers in float64, so growing by
+    any ladder of radii gives the table that one build at the final radius
+    gives, byte for byte."""
     radius = int(radius)
     cached = _SHELL_CACHE.get(d)
     if cached is not None and cached[0] >= radius:
         _, q, c = cached
         cut = np.searchsorted(q, radius * radius, side="right")
         return q[:cut], c[:cut]
-
-    if d == 1:
-        k = np.arange(1, radius + 1, dtype=np.float64)
-        q = k * k
-        c = np.full(radius, 2.0)
-    else:
-        if (2 * radius + 1) ** d > _POINT_BUDGET[d]:
-            raise ResourceLimitError(
-                f"shell enumeration for d={d}, radius={radius} exceeds point budget"
-            )
-        r2 = radius * radius
-        q_prev = np.arange(radius + 1, dtype=np.int64) ** 2  # d = 1 with origin
-        c_prev = np.full(radius + 1, 2, dtype=np.int32)
-        c_prev[0] = 1
-        for _ in range(d - 1):
-            counts = np.zeros(r2 + 1, dtype=np.int32)
-            for k in range(radius + 1):
-                # q_prev is sorted and distinct, so these indices are too
-                n = np.searchsorted(q_prev, r2 - k * k, side="right")
-                counts[k * k + q_prev[:n]] += (2 if k else 1) * c_prev[:n]
-            q_prev = np.nonzero(counts)[0]
-            c_prev = counts[q_prev]
-            del counts
-        q = q_prev[1:].astype(np.float64)  # entry 0 is the origin
-        c = c_prev[1:].astype(np.float64)
+    if d > 1 and (2 * radius + 1) ** d > _POINT_BUDGET[d]:
+        raise ResourceLimitError(
+            f"shell enumeration for d={d}, radius={radius} exceeds point budget"
+        )
+    r0 = cached[0] if cached is not None else 0
+    q, c = _shell_block(d, r0 * r0, radius * radius)
+    if cached is not None:
+        q = np.concatenate((cached[1], q))
+        c = np.concatenate((cached[2], c))
     _SHELL_CACHE[d] = (radius, q, c)
     return q, c
+
+
+_SHELL_BLOCK = 1 << 15  # squared norms counted at a time by _shell_block
+
+
+def _shell_block(d: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shells of Z^d with lo < q = |k|^2 <= hi (0 <= lo), as float64
+    (q, count) in increasing q.
+
+    d = 1 is the closed form q = k^2 with count 2.  For d = 2 and 3 the
+    range is cut into blocks of _SHELL_BLOCK squared norms, each counted
+    into one array of that length, so the scratch is one block's whatever
+    hi is:
+
+    * d = 2 counts the octant pairs 0 <= a <= b with a^2 + b^2 in the
+      block by one np.bincount, each pair standing for 4 points when a = 0
+      or a = b and for 8 otherwise;
+    * d = 3 runs over the third coordinate k = 0, 1, ... of the cached
+      d = 2 table of radius isqrt(hi), origin included: the points
+      (k', +-k) land on k^2 + q' with count (1 if k = 0 else 2) * c', added
+      one plane at a time.
+
+    Every count is an integer below 2^53, so the float sums are exact in
+    any order.
+    """
+    if d == 1:
+        k = np.arange(math.isqrt(lo) + 1, math.isqrt(hi) + 1, dtype=np.float64)
+        return k * k, np.full(len(k), 2.0)
+    if d == 3:
+        q2, c2 = _shells(2, math.isqrt(hi))
+        q2 = np.concatenate(([0], q2.astype(np.int64)))  # the origin of the plane
+        c2 = np.concatenate(([1.0], c2))
+    qs, cs = [], []
+    for s in range(lo, hi, _SHELL_BLOCK):
+        e = min(s + _SHELL_BLOCK, hi)
+        if d == 2:
+            # row a of the octant holds the b >= a with s < a^2 + b^2 <= e
+            a = np.arange(math.isqrt(e // 2) + 1, dtype=np.int64)
+            a2 = a * a
+            b_lo = np.maximum(a, _isqrt(np.maximum(s - a2, 0)) + 1)
+            n = np.maximum(_isqrt(e - a2) - b_lo + 1, 0)
+            a = np.repeat(a, n)
+            b = np.repeat(b_lo - np.cumsum(n) + n, n)
+            b += np.arange(len(b))
+            weights = np.where((a == 0) | (a == b), 4.0, 8.0)
+            a *= a
+            b *= b
+            a += b
+            a -= s + 1  # the slot of a^2 + b^2 in the block
+            counts = np.bincount(a, weights=weights, minlength=e - s)
+        else:
+            # plane k of the third coordinate holds the d = 2 shells q'
+            # with s < k^2 + q' <= e; they are distinct, so are their slots
+            counts = np.zeros(e - s)
+            k2 = np.arange(math.isqrt(e) + 1) ** 2
+            i_lo = np.searchsorted(q2, s - k2, side="right")
+            i_hi = np.searchsorted(q2, e - k2, side="right")
+            for k in range(len(k2)):
+                i, j = i_lo[k], i_hi[k]
+                counts[q2[i:j] + (k2[k] - s - 1)] += (2.0 if k else 1.0) * c2[i:j]
+        hit = np.flatnonzero(counts > 0)
+        qs.append((hit + (s + 1)).astype(np.float64))
+        cs.append(counts[hit])
+    if not qs:
+        return np.empty(0), np.empty(0)
+    q = np.concatenate(qs)
+    qs.clear()  # so that at most one of the two tables is held twice
+    return q, np.concatenate(cs)
+
+
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """isqrt of each integer 0 <= m < 2^52 (the float sqrt floors exactly)."""
+    return np.floor(np.sqrt(m)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from torsob import lattice
 from torsob.bounds import (
     _mixed_sum,
     alpha_constant,
@@ -287,6 +288,40 @@ def test_mode_splitting_frozen():
     P6, N6 = mode_splitting_bound(6.0)
     assert abs(P6 - 0.4971840517592267) < 1e-12
     assert abs(N6 - math.sqrt(20.0)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta, P_hex, N_hex",
+    [
+        (2.0, "0x1.86fec3c8d308ap-2", "0x1.6a09e667f3bcdp+0"),
+        (10.0, "0x1.184373a272d45p-1", "0x1.ad5336963eefcp+2"),
+        (1e3, "0x1.ee7c0c9632e21p-1", "0x1.90bd43dd0834ap+6"),
+        (5e3, "0x1.1b097fd8aa951p+0", "0x1.e5eaeda23bdd6p+7"),
+        (1e4, "0x1.2a511c946959fp+0", "0x1.6277f73e4474dp+8"),
+        (1.07e4, "0x1.2bcdf78c004c0p+0", "0x1.6fb5300c37014p+8"),
+    ],
+)
+def test_mode_splitting_below_switch_frozen_bits(delta, P_hex, N_hex):
+    # every cut below the switch is a shell (1.07e4 is the last delta
+    # before it); these are the bits of one cumsum over the whole shell
+    # table, which the block-streamed passes must reproduce
+    assert delta * math.log(delta) < 1e5
+    P, N = mode_splitting_bound(delta)
+    assert (P.hex(), N.hex()) == (P_hex, N_hex)
+
+
+def test_split_bound_below_switch_peak_memory(monkeypatch):
+    # the cuts up to 16 n*^2 ~ 1.5e6 are streamed block by block; a table
+    # of their 315k shells with its running sums would take about 19 MiB
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    tracemalloc.start()
+    try:
+        mode_splitting_bound(1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert 2 not in lattice._SHELL_CACHE
 
 
 def test_mode_splitting_monotone_across_enumeration_switch():

@@ -413,6 +413,54 @@ def test_shells_sliced_from_cache_equal_fresh(d, big, monkeypatch):
         lattice._SHELL_CACHE[d] = cached
 
 
+@pytest.mark.parametrize(
+    "d, ladder, plane_radius",
+    [(2, (5, 48, 77, 200), None), (3, (7, 32, 52), None), (3, (7, 32, 52), 80)],
+)
+def test_shells_grown_by_a_ladder_equal_fresh(d, ladder, plane_radius, monkeypatch):
+    # each rung appends only its annulus; blocks of 97 squared norms split
+    # every growth step, and for d = 3 the d = 2 table it reads is grown
+    # along, or already cached at a larger radius
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    monkeypatch.setattr(lattice, "_SHELL_BLOCK", 97)
+    if plane_radius:
+        lattice._shells(2, plane_radius)
+    for r in ladder:
+        lattice._shells(d, r)
+    radius, q, c = lattice._SHELL_CACHE[d]
+    assert radius == ladder[-1]
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    fresh_q, fresh_c = lattice._shells(d, radius)
+    want_q, want_c = brute_shells(d, radius)
+    assert q.tobytes() == fresh_q.tobytes() == want_q.tobytes()
+    assert c.tobytes() == fresh_c.tobytes() == want_c.tobytes()
+
+
+@pytest.mark.parametrize(
+    "d, ladder", [(1, (3, 40, 41)), (2, (5, 48, 77, 200)), (3, (7, 32, 52))]
+)
+def test_shells_enumerate_each_squared_norm_once(d, ladder, monkeypatch):
+    # a climb enumerates (0, R^2] once in all, for d = 3 and for the d = 2
+    # table under it; slices of the cache enumerate nothing
+    monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
+    spans = {1: [], 2: [], 3: []}
+    block = lattice._shell_block
+
+    def counted(dim, lo, hi):
+        spans[dim].append((lo, hi))
+        return block(dim, lo, hi)
+
+    monkeypatch.setattr(lattice, "_shell_block", counted)
+    for r in ladder + ladder[:2]:
+        lattice._shells(d, r)
+    top = ladder[-1] ** 2
+    assert sum(hi - lo for lo, hi in spans[d]) == top
+    assert len(spans[d]) == len(ladder)
+    if d == 3:
+        assert sum(hi - lo for lo, hi in spans[2]) == top
+
+
 @pytest.mark.parametrize("d, r", [(3, 171), (2, 6124)])
 def test_shells_over_budget_raise_before_allocating(d, r, monkeypatch):
     monkeypatch.setattr(lattice, "_SHELL_CACHE", {})
