@@ -115,8 +115,8 @@ def theta_dn(
     resonant negative-mu branch, which is not implemented, so it is
     rejected.
     """
-    if not (delta >= 1.0):
-        raise DomainError(f"theta_dn: need delta >= 1, got {delta!r}")
+    if not (1.0 <= delta < math.inf):
+        raise DomainError(f"theta_dn: need finite delta >= 1, got {delta!r}")
     if delta == 1.0:
         return ThetaSample(-1.0, 1.0, lowest_shell_theta(case.d), "exact", 0.0)
     plateau = delta_plateau(case)

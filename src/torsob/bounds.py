@@ -171,8 +171,8 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
     pi zeta(3, isqrt(N^2) + 1), and S_high summed from its own terms.  Only
     the winning point is snapped to its shell.  Returns (P, N_min).
     """
-    if not (delta >= 1.0):
-        raise DomainError(f"mode_splitting_bound: need delta >= 1, got {delta!r}")
+    if not (1.0 <= delta < math.inf):
+        raise DomainError(f"mode_splitting_bound: need finite delta >= 1, got {delta!r}")
     n_star2 = delta * math.log(max(delta, 2.0))
     if 6.0 * n_star2 > _POINT_CAP:
         raise ResourceLimitError(
@@ -238,8 +238,8 @@ def _split_over_shells(delta: float, m_cap: int) -> tuple[float, float]:
 def first_method_bound(delta: float) -> float:
     """The single-log bound min over eps of C(eps) delta^eps; for large
     delta this exceeds (1/4 pi) log delta by a factor tending to e."""
-    if not (delta >= 1.0):
-        raise DomainError(f"first_method_bound: need delta >= 1, got {delta!r}")
+    if not (1.0 <= delta < math.inf):
+        raise DomainError(f"first_method_bound: need finite delta >= 1, got {delta!r}")
 
     def objective(log_eps: float) -> float:
         eps = math.exp(log_eps)

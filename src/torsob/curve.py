@@ -394,8 +394,8 @@ def find_L(cfg: PrecisionConfig = DEFAULT_CONFIG) -> LConstantReport:
     rows_at: dict[float, tuple] = {}
 
     def probe(xs: np.ndarray) -> tuple:
-        pairs = [_tangent_row(critical_sums(1.0 / math.sinh(x) if x else math.inf, "auto", cfg),
-                              2, 4.0 * math.pi) for x in xs]  # x = 0 is mu = +-inf
+        pairs = [_tangent_row(critical_sums(1.0 / math.sinh(x), "auto", cfg), 2, 4.0 * math.pi)
+                 for x in xs]
         rows_at.update(zip(xs, (row for row, _ in pairs)))
         return tuple(zip(*pairs))
 

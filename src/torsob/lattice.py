@@ -17,13 +17,13 @@ This module owns every infinite lattice sum in the package:
 Four kernels sit under these sums, each written once: the shell table
 (:func:`_shells`, distinct |k|^2 with multiplicities, grown annulus by
 annulus from :func:`_shell_block`, which counts fixed blocks of squared
-norms), the theta splitting of the full-lattice moments
-(:func:`_epstein_theta_split`), the tail moments taken as full-lattice
-moment minus partial sum, clipped into their integral bracket
-(:func:`_clipped_moment`), and the screened tail
-(:func:`_screened_tail`).  Every dot product (BLAS call) of the package
-goes through :func:`_dot`, whose summation order does not depend on the
-BLAS thread count.
+norms), the full-lattice moments (:func:`_full_moment`: 2 zeta(2j) for
+d = 1, 4 zeta(j) beta(j) for d = 2, literals and a direct shell sum for
+d = 3), the tail moments taken as full-lattice moment minus partial sum,
+clipped into their integral bracket (:func:`_clipped_moment`), and the
+screened tail (:func:`_screened_tail`).  Every dot product (BLAS call) of
+the package goes through :func:`_dot`, whose summation order does not
+depend on the BLAS thread count.
 
 Error accounting: every returned component carries an absolute error bound
 assembled from its tail error, explicit bounds on omitted expansion orders,
@@ -382,39 +382,28 @@ def _z2_moment(j: float) -> SpecialValue:
 
 _Z3_CACHE: dict[int, SpecialValue] = {}
 
-
-def _epstein_theta_split(d: int, s) -> float:
-    """sum' over Z^d of |k|^{-2s} (d = 2, 3) by incomplete-gamma theta
-    splitting (Crandall's representation), at 30 digits:
-
-    Z(2s) = pi^s/Gamma(s) [ 1/(s - d/2) - 1/s
-            + sum' { (pi q)^{-s} Gamma(s, pi q) + (pi q)^{s-d/2} Gamma(d/2 - s, pi q) } ]
-
-    s may be any exact mpmath input; it is rounded to 30 digits.  The shell
-    sum converges like e^{-pi q}; beyond the radii 5 (d = 2) and 4 (d = 3)
-    it leaves about 1e-35 and 1e-22, far below double precision."""
-    import mpmath as mp
-
-    with mp.workdps(30):
-        s = mp.mpf(s)
-        half_d = mp.mpf(d) / 2
-        q, c = _shells(d, 5 if d == 2 else 4)
-        acc = mp.mpf(0)
-        for qi, ci in zip(q, c):
-            piq = mp.pi * mp.mpf(qi)
-            acc += mp.mpf(ci) * (
-                (piq ** (-s)) * mp.gammainc(s, piq)
-                + (piq ** (s - half_d)) * mp.gammainc(half_d - s, piq)
-            )
-        return float((mp.pi**s / mp.gamma(s)) * (1 / (s - half_d) - 1 / s + acc))
+# sum' over Z^3 of |k|^{-2j} for j = 2..7, correctly rounded
+_Z3_LITERALS = tuple(map(float.fromhex, (
+    "0x1.08845dbd650b2p+4", "0x1.0cdc8faaeb9a8p+3", "0x1.bc881df8ef071p+2",
+    "0x1.9b45890e6526bp+2", "0x1.8cf0028c5963fp+2", "0x1.8648a6123ae21p+2",
+)))
 
 
 def _z3_moment(j: int) -> SpecialValue:
-    """Full-lattice moment sum' over Z^3 of |k|^{-2j} by theta splitting."""
+    """Full-lattice moment sum' over Z^3 of |k|^{-2j} (integer j >= 2).
+
+    j = 2..7 are literals; from j = 8 on, math.fsum adds the shells with
+    |k| <= 16 and the midpoint of the cell sandwich past 16, whose
+    half-width is at most 8.4e-17 of the sum."""
     got = _Z3_CACHE.get(j)
     if got is not None:
         return got
-    out = _epstein_theta_split(3, j)
+    if 2 <= j < 8:
+        out = _Z3_LITERALS[j - 2]
+    else:
+        q, c = _shells(3, 16)
+        lo, hi = _power_tail_bracket(3, 2.0 * j, 16.0)
+        out = math.fsum(np.append(c * q ** (-float(j)), 0.5 * (lo + hi)))
     sv = SpecialValue(out, 1e-13 * abs(out) + 1e-15)
     _Z3_CACHE[j] = sv
     return sv

@@ -1,6 +1,7 @@
-"""Scalar references that only the tests call: the Hardy sum by theta
-splitting, the partial inverse-square sum and Bessel K at one point, each
-on top of a library kernel, and the critical triple at |mu| > 1 in mpmath.
+"""Scalar references that only the tests call: the full-lattice moments
+and the Hardy sum by theta splitting in mpmath, the partial inverse-square
+sum and Bessel K at one point, each on top of a library kernel, and the
+critical triple at |mu| > 1 in mpmath.
 """
 
 import functools
@@ -10,7 +11,7 @@ import mpmath as mp
 import numpy as np
 
 from torsob.errors import DomainError, ResourceLimitError
-from torsob.lattice import _epstein_theta_split, _partial_sums_at, _shells
+from torsob.lattice import _partial_sums_at, _shells
 from torsob.specfun import _BESSEL_REL_BOUND, SpecialValue, _bessel_k01
 
 #: the smallest cut of the row kernel: from there every row tail starts at
@@ -22,13 +23,38 @@ _EM_RADIUS = 100
 _BESSEL_UNDERFLOW_X = 740.0
 
 
+def epstein_theta_split(d: int, s, dps: int = 30) -> float:
+    """sum' over Z^d of |k|^{-2s} (d = 2, 3) by incomplete-gamma theta
+    splitting (Crandall's representation), at dps digits, rounded once:
+
+    Z(2s) = pi^s/Gamma(s) [ 1/(s - d/2) - 1/s
+            + sum' { (pi q)^{-s} Gamma(s, pi q) + (pi q)^{s-d/2} Gamma(d/2 - s, pi q) } ]
+
+    s may be any exact mpmath input; it is rounded to dps digits.  The
+    shell sum converges like e^{-pi q}; it runs to the radius R with
+    R^2 + 1 > dps log(10)/pi (R = 5 at 30 digits, 6 at 40), so the shells
+    it leaves out are below 10^-dps."""
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        half_d = mp.mpf(d) / 2
+        q, c = _shells(d, math.isqrt(math.ceil(dps * math.log(10) / math.pi)) + 1)
+        acc = mp.mpf(0)
+        for qi, ci in zip(q, c):
+            piq = mp.pi * mp.mpf(qi)
+            acc += mp.mpf(ci) * (
+                (piq ** (-s)) * mp.gammainc(s, piq)
+                + (piq ** (s - half_d)) * mp.gammainc(half_d - s, piq)
+            )
+        return float((mp.pi**s / mp.gamma(s)) * (1 / (s - half_d) - 1 / s + acc))
+
+
 def hardy_sum_theta_split(eps: float) -> SpecialValue:
     """sum' over Z^2 of |k|^{-2(1+eps)} by incomplete-gamma theta splitting
-    (``lattice._epstein_theta_split`` with d = 2, s = 1 + eps), a route
+    (:func:`epstein_theta_split` with d = 2, s = 1 + eps), a route
     independent of the library's ``hardy_sum``."""
     if not (eps > 0.0):
         raise DomainError(f"hardy_sum_theta_split: need eps > 0, got {eps!r}")
-    out = _epstein_theta_split(2, mp.fadd(1, eps, exact=True))
+    out = epstein_theta_split(2, mp.fadd(1, eps, exact=True))
     return SpecialValue(out, max(1e-13 * abs(out), 1e-14))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from torsob import lattice
+from torsob.algebraic import deviation, shifted_deviation, theta_dn
 from torsob.bounds import (
     _mixed_sum,
     alpha_constant,
@@ -18,9 +19,10 @@ from torsob.bounds import (
     mode_splitting_bound,
 )
 from torsob.curve import loglog_lower_constant, theta_model
-from torsob.errors import DomainError, ToleranceUnreachableError
+from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
 from torsob.lattice import (
     DEFAULT_CONFIG,
+    CaseDN,
     PrecisionConfig,
     _largest_two_squares,
     _partial_sums_at,
@@ -438,3 +440,22 @@ def test_first_method_log_factor_tends_to_e():
 def test_first_method_domain():
     with pytest.raises(DomainError):
         first_method_bound(0.9)
+
+
+@pytest.mark.parametrize("fn", [
+    mode_splitting_bound,
+    first_method_bound,
+    lambda delta: theta_dn(CaseDN(2, 3), delta),
+    lambda delta: deviation(CaseDN(2, 3), delta),
+    lambda delta: shifted_deviation(CaseDN(2, 3), delta),
+], ids=["mode_splitting_bound", "first_method_bound", "theta_dn", "deviation",
+        "shifted_deviation"])
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_non_finite_delta_is_a_domain_error(fn, delta):
+    with pytest.raises(DomainError, match="need finite delta >= 1"):
+        fn(delta)
+
+
+def test_mode_splitting_finite_delta_past_the_cap_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        mode_splitting_bound(1e8)

@@ -8,7 +8,9 @@ within the error bounds the library reports for them.  The Bessel kernel
 is torsob's own: it is checked against 30-digit references and against
 scipy within its stated bound, not bit for bit.  The import tests run in
 child processes and guard that ``import torsob``, CLI calls with and
-without Bessel evaluations, and ``g0_value`` load no scipy module.
+without Bessel evaluations, and ``g0_value`` load no scipy module, that
+the lattice sums of d = 1, 2, 3 load neither scipy nor mpmath, and that
+numpy is the one runtime dependency.
 ``lattice._dot`` is the package's one dot product: it is checked against
 np.dot and against exact sums, every other BLAS call is ruled out by a
 source scan, and child processes under different OpenBLAS thread counts
@@ -608,6 +610,29 @@ def test_bessel_calls_load_no_scipy(argv, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_lattice_sums_of_every_dimension_load_neither_scipy_nor_mpmath():
+    import tomllib
+
+    r = _child(
+        """
+        import sys
+        from torsob import CaseDN, critical_sums, delta_plateau, general_sums
+        from torsob import remainder_constant
+        critical_sums(0.5, "direct")
+        critical_sums(0.5, "accelerated")
+        for case in (CaseDN(1, 1), CaseDN(2, 2), CaseDN(3, 2)):
+            general_sums(case, 0.5)
+        delta_plateau(CaseDN(3, 4))
+        remainder_constant(CaseDN(3, 2))
+        print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+        """
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 # ----------------------------------------------------------- the dot product

@@ -42,6 +42,7 @@ from torsob.specfun import dirichlet_beta_prime_at_1, zeta_dirichlet
 
 from scalar_oracles import (
     critical_triple_mp,
+    epstein_theta_split,
     hardy_sum_theta_split,
     partial_inverse_square_sum,
 )
@@ -349,14 +350,37 @@ def test_hardy_domain():
         hardy_sum(-0.3)
 
 
-@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("j", [2, 3, 4, 7, 8])
 def test_z3_moment_inside_shell_bracket(j):
-    # the theta splitting against a direct partial sum over |k| <= 40 plus
-    # the integral bracket on the rest
-    q, c = lattice._shells(3, 40)
+    # the moment against a direct partial sum over |k| <= T plus the
+    # integral bracket on the rest; j = 7 and 8 straddle the seam between
+    # the literals and the direct sum, and there T = 10 keeps the bracket
+    # over 1000 ulps wide (at T = 40 it is below one ulp)
+    T = 40 if j < 7 else 10
+    q, c = lattice._shells(3, T)
     partial = math.fsum(c * q ** (-float(j)))
-    lo, hi = lattice._power_tail_bracket(3, 2 * j, 40.0)
+    lo, hi = lattice._power_tail_bracket(3, 2 * j, float(T))
     assert partial + lo < lattice._z3_moment(j).value < partial + hi
+
+
+@pytest.mark.parametrize("j", range(2, 8))
+def test_z3_literals_are_the_rounded_theta_splitting(j):
+    # each literal is the 40-digit theta splitting, rounded once
+    assert lattice._Z3_LITERALS[j - 2] == epstein_theta_split(3, j, dps=40)
+    assert lattice._z3_moment(j).value == lattice._Z3_LITERALS[j - 2]
+
+
+def test_z3_direct_moments_equal_the_theta_splitting():
+    # from j = 8 on the shells up to 16 and the bracket midpoint past it
+    # give the 40-digit theta splitting, rounded once, bit for bit; the
+    # bracket half-width stays below 8.4e-17 of the moment
+    for j in range(8, 61):
+        got = lattice._z3_moment(j)
+        ref = epstein_theta_split(3, j, dps=40)
+        assert got.value == ref, j
+        assert abs(got.value - ref) <= got.abs_error_bound
+        lo, hi = lattice._power_tail_bracket(3, 2 * j, 16.0)
+        assert 0.5 * (hi - lo) <= 8.4e-17 * got.value, j
 
 
 def test_clipped_moment_skips_the_partial_sum_below_its_noise_floor(monkeypatch):
