@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import brentq, envelope_max
-from .curve import ThetaSample, _delta_root, _ladder, _tangent_row, _theta_sample
+from .curve import ThetaSample, _delta_root, _ladder, _tangent_row
 from .errors import DomainError, ToleranceUnreachableError
 from .lattice import (
     DEFAULT_CONFIG,
@@ -37,7 +37,6 @@ from .lattice import (
     _full_moment,
     _general_sums_batch,
     _omega,
-    general_sums,
 )
 
 __all__ = [
@@ -92,11 +91,6 @@ def delta_plateau(case: CaseDN) -> float:
     return _full_moment(case.d, case.n).value / _full_moment(case.d, 2 * case.n).value
 
 
-def _sample_at(case: CaseDN, lm: float, cfg: PrecisionConfig) -> ThetaSample:
-    """The exact curve sample at log mu = lm."""
-    return _theta_sample(general_sums(case, math.exp(lm), cfg), case.d)
-
-
 def _samples_at(case: CaseDN, lms, cfg: PrecisionConfig, tails=None) -> list[tuple]:
     """The envelope rows and curve samples at each log mu of lms, from one batched sum."""
     sums = _general_sums_batch(case, [math.exp(lm) for lm in lms], cfg, tails)
@@ -126,7 +120,7 @@ def theta_dn(
             f"plateau {plateau:.12g}; the resonant branch is not implemented"
         )
 
-    at = functools.cache(lambda lm: _sample_at(case, lm, cfg))
+    at = functools.cache(lambda lm: _samples_at(case, [lm], cfg)[0][1])
     lm = _delta_root(
         lambda x: at(x).delta, delta, _ladder(0.0, operator.sub, 2.0),
         _ladder(0.0, operator.add, 2.0), True, 1e-13, 1e-10, "theta_dn",
@@ -196,7 +190,7 @@ def positive_crossings(
 
     def at(lm: float) -> ThetaSample:
         if lm not in samples:
-            samples[lm] = _sample_at(case, lm, cfg)
+            samples[lm] = _samples_at(case, [lm], cfg)[0][1]
         return samples[lm]
 
     def shifted_at(lm: float) -> float:
@@ -259,18 +253,14 @@ def _tail_samples(
     c = leading_constant(case)
     strong = True
     R = 0.0
-    probes = [(z_hi * frac) ** (-2.0 * n) for frac in (1.0, 0.94, 0.89)]
-    for tr in _general_sums_batch(case, probes, cfg, tails):
-        sample = _theta_sample(tr, d)
-        dd = sample.delta
+    lms = [-2.0 * n * math.log(z_hi * frac) for frac in (1.0, 0.94, 0.89)]
+    for (theta, theta_err, dd, dd_err, _, _), _ in _samples_at(case, lms, cfg, tails):
         third = (c * dd**p - U) - expansion_dn(case, dd)
         # evaluation error: theta's propagated bound, plus the expansion's
         # sensitivity to the delta coordinate's own error
-        rel = tr.h.abs_error_bound / abs(tr.h.value) + tr.g.abs_error_bound / abs(tr.g.value)
-        dd_err = dd * rel * 1.05
         slope = c * p * dd ** (p - 1.0) + (1.0 + p) * abs(third) / dd
-        eval_err = sample.abs_error_bound * 1.05 + slope * dd_err
-        err = abs(sample.theta - expansion_dn(case, dd)) + eval_err
+        eval_err = theta_err * 1.05 + slope * dd_err
+        err = abs(theta - expansion_dn(case, dd)) + eval_err
         if err > 0.5 * third + 1e-10:
             strong = False
         R = max(R, err)

@@ -1,15 +1,23 @@
 """Command-line front end: every computation as reproducible table/report
 emission.
 
+Each handler ``cmd_<sub>(args, cfg)`` only computes and returns a
+:class:`Payload`; one dispatcher, :func:`main`, loads the config, builds the
+manifest from the parsed arguments and writes every output.
+
 Output model: with ``--output BASE`` each subcommand writes its payloads to
 ``BASE.csv`` / ``BASE.json`` (as applicable) plus ``BASE.manifest.json``;
 without it the primary payload goes to stdout.  The manifest records the
 command line, the resolved numeric configuration, the tool version, the
 wall time, and a sha256 checksum per written file.  Every CSV carries a
-header comment with the checksum of the manifest core (command + config +
-version -- the parts that determine the numbers), so a table can be traced
-back to the invocation that made it; the core hash deliberately excludes
-wall time, which must never change the numbers.
+header comment with the checksum of the manifest core (subcommand,
+parameters, config and version -- the parts that determine the numbers),
+so a table can be traced back to the invocation that made it; the core
+hash deliberately excludes wall time, which must never change the numbers.
+Its parameters are every parsed argument of the subcommand but
+``--output`` and ``--gnuplot`` (routing) and ``--config``, ``--tol`` and
+``--max-radius`` (recorded resolved, under ``config``), plus what a handler
+reads from its input files (``verify``'s ``input_sha256``).
 
 Exit codes: 2 for domain errors (bad arguments, malformed files), 3 when a
 requested accuracy cannot be certified within resource limits, 1 for I/O
@@ -31,6 +39,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +74,23 @@ _MODEL_MAP = {
 
 #: the config keys in declaration (manifest) order, typed by their defaults
 _CONFIG_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(PrecisionConfig)}
+
+#: parsed attributes that are not parameters of the computation: the
+#: dispatch, the output routing, and the config sources
+_NOT_PARAMETERS = frozenset(
+    {"subcommand", "func", "output", "gnuplot", "config", "tol", "max_radius"}
+)
+
+
+class Payload(NamedTuple):
+    """What a subcommand computed: the CSV table as (header, rows, notes),
+    the JSON object, the gnuplot (style, title) of the table, and the
+    manifest parameters read from input files."""
+
+    table: tuple | None = None
+    obj: dict | None = None
+    plot: tuple | None = None
+    inputs: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -110,58 +136,41 @@ def parse_grid(text: str) -> np.ndarray:
 
 def _load_config(args) -> PrecisionConfig:
     values: dict[str, float | int] = {}
-    path = getattr(args, "config", None)
+    path = args.config
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, val = line.partition("=")
-                if not eq:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}"
-                    )
-                key, val = key.strip(), val.strip()
-                caster = _CONFIG_FIELDS.get(key)
-                if caster is None:
-                    raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
-                try:
-                    num = float(val)
-                except ValueError as exc:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: unparsable value for {key!r}"
-                    ) from exc
-                if caster is int and not num.is_integer():  # inf and nan too
-                    raise InputFormatError(
-                        f"{path}:{lineno}: {key!r} must be an integer, got {val!r}"
-                    )
-                values[key] = int(num) if caster is int else num
-    if getattr(args, "tol", None) is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise InputFormatError(
+                    f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}"
+                )
+            key, val = key.strip(), val.strip()
+            caster = _CONFIG_FIELDS.get(key)
+            if caster is None:
+                raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                num = float(val)
+            except ValueError as exc:
+                raise InputFormatError(
+                    f"{path}:{lineno}: unparsable value for {key!r}"
+                ) from exc
+            if caster is int and not num.is_integer():  # inf and nan too
+                raise InputFormatError(
+                    f"{path}:{lineno}: {key!r} must be an integer, got {val!r}"
+                )
+            values[key] = int(num) if caster is int else num
+    if args.tol is not None:
         values["target_abs_tol"] = args.tol
-    if getattr(args, "max_radius", None) is not None:
+    if args.max_radius is not None:
         values["max_radius"] = args.max_radius
     return PrecisionConfig(**values) if values else DEFAULT_CONFIG
-
-
-def _config_snapshot(cfg: PrecisionConfig) -> dict:
-    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-
-
-def _manifest_core(args, cfg: PrecisionConfig, params: dict) -> dict:
-    """The parts of an invocation that determine the numbers.
-
-    Deliberately excludes the output location and wall time, so identical
-    computations produce identical manifest hashes (and hence identical CSV
-    header bytes) wherever the files land.
-    """
-    return {
-        "tool": "torsob",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "parameters": params,
-        "config": _config_snapshot(cfg),
-    }
 
 
 def _core_sha(core: dict) -> str:
@@ -193,16 +202,18 @@ _GNUPLOT_BODY = {
 }
 
 
-def _emit(args, core, *, csv_text=None, json_obj=None, plot=None) -> int:
-    """Send the payloads to stdout or to the --output file family."""
-    if getattr(args, "gnuplot", False) and args.output is None:
-        raise InputFormatError("--gnuplot needs --output to name the data file")
+def _emit(args, core: dict, payload: Payload) -> None:
+    """Send the payload to stdout or to the --output file family; the CSV
+    header carries the sha256 of the manifest core."""
+    sha = _core_sha(core)
+    table = payload.table
+    csv_text = None if table is None else _csv_table(core["subcommand"], sha, *table)
     if args.output is None:
-        if json_obj is not None:
-            print(json.dumps(json_obj, indent=2, allow_nan=False))
+        if payload.obj is not None:
+            print(json.dumps(payload.obj, indent=2, allow_nan=False))
         if csv_text is not None:
             sys.stdout.write(csv_text)
-        return 0
+        return
     base = Path(args.output)
     if base.parent != Path("."):
         base.parent.mkdir(parents=True, exist_ok=True)
@@ -215,12 +226,11 @@ def _emit(args, core, *, csv_text=None, json_obj=None, plot=None) -> int:
 
     if csv_text is not None:
         put(".csv", csv_text)
-    if json_obj is not None:
-        payload = dict(json_obj)
-        payload["manifest_sha256"] = _core_sha(core)
-        put(".json", json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    if payload.obj is not None:
+        obj = dict(payload.obj, manifest_sha256=sha)
+        put(".json", json.dumps(obj, indent=2, allow_nan=False) + "\n")
     if getattr(args, "gnuplot", False):
-        style, title = plot
+        style, title = payload.plot
         body = _GNUPLOT_BODY[style].format(
             csv=repr(str(base) + ".csv"), title=title
         )
@@ -231,13 +241,12 @@ def _emit(args, core, *, csv_text=None, json_obj=None, plot=None) -> int:
         )
     manifest = dict(core)
     manifest["command"] = list(args._argv)
-    manifest["manifest_sha256"] = _core_sha(core)
+    manifest["manifest_sha256"] = sha
     manifest["wall_time_s"] = round(time.perf_counter() - args._t0, 3)
     manifest["outputs"] = written
     Path(str(base) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +254,7 @@ def _emit(args, core, *, csv_text=None, json_obj=None, plot=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_theta(args) -> int:
-    cfg = _load_config(args)
-    core = _manifest_core(
-        args, cfg, {"model": args.model, "delta_grid": args.delta_grid}
-    )
+def cmd_theta(args, cfg) -> Payload:
     model = _MODEL_MAP[args.model]
     rows = []
     for d in parse_grid(args.delta_grid):
@@ -260,19 +265,13 @@ def cmd_theta(args) -> int:
         else:
             s = _model_sample(model, d, cfg)
             rows.append((d, s.theta, s.mu, s.abs_error_bound))
-    text = _csv_table(
-        "theta",
-        _core_sha(core),
-        ("delta", "theta", "mu", "err_bound"),
-        rows,
-        notes=(f"model: {args.model}",),
+    return Payload(
+        (("delta", "theta", "mu", "err_bound"), rows, (f"model: {args.model}",)),
+        plot=("curve", f"Theta ({args.model})"),
     )
-    return _emit(args, core, csv_text=text, plot=("curve", f"Theta ({args.model})"))
 
 
-def cmd_constants(args) -> int:
-    cfg = _load_config(args)
-    core = _manifest_core(args, cfg, {})
+def cmd_constants(args, cfg) -> Payload:
     b = beta_constant()
     bp = dirichlet_beta_prime_at_1()
     rep = find_L(cfg)
@@ -305,21 +304,10 @@ def cmd_constants(args) -> int:
         },
         "catalan": {"value": CATALAN, "method": "Dirichlet beta at 2"},
     }
-    return _emit(args, core, json_obj=obj)
+    return Payload(obj=obj)
 
 
-def cmd_kdn(args) -> int:
-    cfg = _load_config(args)
-    core = _manifest_core(
-        args,
-        cfg,
-        {
-            "d": args.d,
-            "n": args.n,
-            "shifted_convention": bool(args.shifted_convention),
-            "delta_grid": args.delta_grid,
-        },
-    )
+def cmd_kdn(args, cfg) -> Payload:
     case = CaseDN(args.d, args.n)
     rep = remainder_constant(case, cfg)
     at_infinity = math.isinf(rep.delta_argmax)
@@ -351,26 +339,16 @@ def cmd_kdn(args) -> int:
     fun = shifted_deviation if args.shifted_convention else deviation
     rows = [(float(d), fun(case, float(d), cfg)) for d in grid]
     convention = "shifted (limit 0)" if args.shifted_convention else "plain (limit -2n/((2pi)^d(2n-d)))"
-    text = _csv_table(
-        "kdn",
-        _core_sha(core),
-        ("delta", "deviation"),
-        rows,
-        notes=(f"case: d={case.d} n={case.n}", f"convention: {convention}"),
-    )
-    return _emit(
-        args, core, csv_text=text, json_obj=obj,
+    notes = (f"case: d={case.d} n={case.n}", f"convention: {convention}")
+    return Payload(
+        (("delta", "deviation"), rows, notes), obj,
         plot=("curve", f"F_{{{case.d},{case.n}}}"),
     )
 
 
-def cmd_limit(args) -> int:
-    cfg = _load_config(args)
-    core = _manifest_core(
-        args, cfg, {"d": args.d, "n": args.n, "z_grid": args.z_grid}
-    )
+def cmd_limit(args, cfg) -> Payload:
     grid = parse_grid(args.z_grid)
-    notes = [f"d: {args.d}", f"n: {args.n}"]
+    notes = (f"d: {args.d}", f"n: {args.n}")
     if args.n == "inf":
         if args.d == 1:
             header = ("z", "value", "delta_inf", "theta_inf")
@@ -387,18 +365,10 @@ def cmd_limit(args) -> int:
         rows = [
             (float(z), scaled_deviation(args.d, n, float(z), cfg)) for z in grid
         ]
-    text = _csv_table("limit", _core_sha(core), header, rows, notes=notes)
-    return _emit(
-        args, core, csv_text=text,
-        plot=("curve", f"F_{{{args.d},{args.n}}}(z)"),
-    )
+    return Payload((header, rows, notes), plot=("curve", f"F_{{{args.d},{args.n}}}(z)"))
 
 
-def cmd_field(args) -> int:
-    cfg = _load_config(args)
-    core = _manifest_core(
-        args, cfg, {"mu": args.mu, "resolution": args.resolution}
-    )
+def cmd_field(args, cfg) -> Payload:
     fg = extremal_field(args.mu, args.resolution, cfg)
     ax = fg.axis()
     rows = []
@@ -416,14 +386,8 @@ def cmd_field(args) -> int:
         "lap_norm_sq": fg.lap_norm_sq,
         "delta": fg.delta(),
     }
-    text = _csv_table(
-        "field",
-        _core_sha(core),
-        ("x", "y", "value"),
-        rows,
-        notes=(f"mu: {_fmt(fg.mu)}", f"resolution: {fg.resolution}"),
-    )
-    return _emit(args, core, csv_text=text, json_obj=obj, plot=("grid", "u"))
+    notes = (f"mu: {_fmt(fg.mu)}", f"resolution: {fg.resolution}")
+    return Payload((("x", "y", "value"), rows, notes), obj, plot=("grid", "u"))
 
 
 def _parse_inequality(token: str) -> tuple[str, CaseDN | None]:
@@ -447,18 +411,8 @@ def _parse_inequality(token: str) -> tuple[str, CaseDN | None]:
     )
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def cmd_verify(args, cfg) -> Payload:
     input_sha = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
-    core = _manifest_core(
-        args,
-        cfg,
-        {
-            "inequality": args.inequality,
-            "input": str(args.input),
-            "input_sha256": input_sha,
-        },
-    )
     which, case = _parse_inequality(args.inequality)
     rep = verify_inequality(FourierInput.from_file(args.input), which, case, cfg)
     obj = {
@@ -471,30 +425,16 @@ def cmd_verify(args) -> int:
         "delta": rep.delta,
         "case": None if case is None else {"d": case.d, "n": case.n},
     }
-    return _emit(args, core, json_obj=obj)
+    return Payload(obj=obj, inputs={"input_sha256": input_sha})
 
 
-def cmd_bounds(args) -> int:
-    cfg = _load_config(args)
-    core = _manifest_core(args, cfg, {"delta_grid": args.delta_grid})
-    rows = []
-    for d in parse_grid(args.delta_grid):
-        d = float(d)
-        rows.append(
-            (
-                d,
-                theta_model("exact", d, cfg),
-                mode_splitting_bound(d)[0],
-                first_method_bound(d),
-            )
-        )
-    text = _csv_table(
-        "bounds",
-        _core_sha(core),
-        ("delta", "theta_exact", "P_modesplit", "first_method_bound"),
-        rows,
-    )
-    return _emit(args, core, csv_text=text, plot=("bounds", ""))
+def cmd_bounds(args, cfg) -> Payload:
+    rows = [
+        (d, theta_model("exact", d, cfg), mode_splitting_bound(d)[0], first_method_bound(d))
+        for d in map(float, parse_grid(args.delta_grid))
+    ]
+    header = ("delta", "theta_exact", "P_modesplit", "first_method_bound")
+    return Payload((header, rows, ()), plot=("bounds", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", parents=[common], help="check one inequality on Fourier data"
     )
-    p.add_argument("--input", required=True, metavar="FILE")
+    # declared in the manifest's parameter order
     p.add_argument("--inequality", required=True, metavar="log0|loglog|alg:D:N")
+    p.add_argument("--input", required=True, metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -597,6 +538,7 @@ def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(raw)
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     args._argv = raw
     args._t0 = time.perf_counter()
     if args.subcommand == "limit" and args.n != "inf":
@@ -605,7 +547,19 @@ def main(argv=None) -> int:
         except ValueError:
             parser.error(f"--n must be a positive integer or 'inf', got {args.n!r}")
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        if getattr(args, "gnuplot", False) and args.output is None:
+            raise InputFormatError("--gnuplot needs --output to name the data file")
+        payload = args.func(args, cfg)
+        core = {
+            "tool": "torsob",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "parameters": {**params, **payload.inputs},
+            "config": {name: getattr(cfg, name) for name in _CONFIG_FIELDS},
+        }
+        _emit(args, core, payload)
+        return 0
     except TorsobError as exc:
         kind = {2: "domain-error", 3: "tolerance-unreachable"}.get(
             exc.exit_code, "error"

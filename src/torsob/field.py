@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebraic import leading_constant, remainder_constant
 from .curve import find_L, theta_model
-from .errors import DomainError, ResourceLimitError, ToleranceUnreachableError
+from .errors import DomainError, InputFormatError, ResourceLimitError, ToleranceUnreachableError
 from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
@@ -151,13 +151,13 @@ def _cosh_ratio(a, t2: float):
 def _row_wavenumbers(t2: float) -> np.ndarray:
     """The rows k1 = 1..M summed at larger coordinate t2 > 0: row k1 is
     O(e^{-k1 t2}), so they run past the factor e^{-42}."""
-    M = int(math.ceil(42.0 / t2)) + 8
-    if M > 2_000_000:
+    reach = 42.0 / t2  # checked as a float: near the origin it is inf
+    if reach > 2_000_000 - 8:
         raise ToleranceUnreachableError(
             f"Green function: point too close to the lattice "
-            f"singularity (row cutoff {M} exceeds budget)"
+            f"singularity (row cutoff {reach + 8.0:.7g} exceeds budget 2000000)"
         )
-    return np.arange(1.0, M + 1.0)
+    return np.arange(1.0, math.ceil(reach) + 9.0)
 
 
 def _synth_rows(t1: np.ndarray, t2: float, mu: float) -> np.ndarray:
@@ -346,29 +346,33 @@ class FourierInput:
     def from_file(cls, path) -> "FourierInput":
         """Parse 'k1 k2 re im' lines; '#' comments and blank lines skipped."""
         coeffs: dict[tuple[int, int], complex] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise DomainError(
-                        f"FourierInput: malformed line {lineno}: expected "
-                        f"'k1 k2 re im', got {raw.rstrip()!r}"
-                    )
-                try:
-                    k = (int(parts[0]), int(parts[1]))
-                    v = complex(float(parts[2]), float(parts[3]))
-                except ValueError as exc:
-                    raise DomainError(
-                        f"FourierInput: unparsable numbers on line {lineno}"
-                    ) from exc
-                if k in coeffs:
-                    raise DomainError(
-                        f"FourierInput: duplicate mode {k} on line {lineno}"
-                    )
-                coeffs[k] = v
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"FourierInput: {path}: not UTF-8 text ({exc})") from exc
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise DomainError(
+                    f"FourierInput: malformed line {lineno}: expected "
+                    f"'k1 k2 re im', got {raw.rstrip()!r}"
+                )
+            try:
+                k = (int(parts[0]), int(parts[1]))
+                v = complex(float(parts[2]), float(parts[3]))
+            except ValueError as exc:
+                raise DomainError(
+                    f"FourierInput: unparsable numbers on line {lineno}"
+                ) from exc
+            if k in coeffs:
+                raise DomainError(
+                    f"FourierInput: duplicate mode {k} on line {lineno}"
+                )
+            coeffs[k] = v
         return cls(coeffs)
 
     def norms(self) -> tuple[float, float, float]:

@@ -106,13 +106,13 @@ def test_theta_dn_error_bound_covers_a_tighter_sum(dn, delta):
 @pytest.mark.parametrize("dn,delta", [((2, 2), 2.0), ((2, 3), 10.0), ((1, 3), 3.0)])
 def test_theta_dn_sums_each_point_once(dn, delta, monkeypatch):
     calls = []
-    real = al.general_sums
+    real = al._general_sums_batch
 
-    def counted(case, mu, *args, **kwargs):
-        calls.append(mu)
-        return real(case, mu, *args, **kwargs)
+    def counted(case, mus, *args, **kwargs):
+        calls.extend(mus)
+        return real(case, mus, *args, **kwargs)
 
-    monkeypatch.setattr(al, "general_sums", counted)
+    monkeypatch.setattr(al, "_general_sums_batch", counted)
     sample = al.theta_dn(CaseDN(*dn), delta)
     assert calls and len(set(calls)) == len(calls)
     assert sample.mu in calls  # the root was one of the evaluated points

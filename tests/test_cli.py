@@ -106,6 +106,16 @@ def test_gnuplot_needs_output(tmp_path):
     assert (tmp_path / "g.gnuplot").exists()
 
 
+def test_gnuplot_without_output_is_refused_before_computing(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("cmd_kdn ran")
+
+    monkeypatch.setattr(cli, "cmd_kdn", fail)
+    assert cli.main(["kdn", "--d", "3", "--n", "2", "--gnuplot"]) == 2
+    err = capsys.readouterr().err
+    assert err == "torsob: domain-error: --gnuplot needs --output to name the data file\n"
+
+
 @pytest.mark.parametrize("sub", ["constants", "verify"])
 def test_gnuplot_refused_without_a_csv_before_any_write(sub, tmp_path):
     # constants and verify emit JSON only; --gnuplot must fail before the
@@ -194,6 +204,40 @@ def test_verify_json(tmp_path):
     assert man["parameters"]["input_sha256"] == expected
 
 
+#: the options that route output or set the config; every other argument
+#: of a subcommand is a parameter of its computation
+_NOT_PARAMETERS = {"help", "output", "gnuplot", "config", "tol", "max_radius"}
+
+_EVERY_SUBCOMMAND = {
+    "theta": ["--model", "theta0", "--delta-grid", "2:3:2"],
+    "constants": [],
+    "kdn": ["--d", "2", "--n", "2", "--shifted-convention", "--delta-grid", "3:4:2"],
+    "limit": ["--d", "1", "--n", "inf", "--z-grid", "1.5:2.7:2"],
+    "field": ["--mu", "10", "--resolution", "32"],
+    "verify": ["--inequality", "loglog", "--input", "MODES"],
+    "bounds": ["--delta-grid", "2:3:2"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_EVERY_SUBCOMMAND))
+def test_manifest_parameters_are_the_subcommands_own_arguments(sub, tmp_path):
+    modes = tmp_path / "modes.txt"
+    modes.write_text(COS_FILE_BODY)
+    argv = [sub] + [str(modes) if a == "MODES" else a for a in _EVERY_SUBCOMMAND[sub]]
+    routing = ["--tol", "1e-12", "--max-radius", "6000", "--output", str(tmp_path / "o")]
+    assert cli.main(argv + routing) == 0
+    parser = cli.build_parser()
+    choices = next(a for a in parser._actions if a.dest == "subcommand").choices
+    own = [a.dest for a in choices[sub]._actions if a.dest not in _NOT_PARAMETERS]
+    parsed = vars(parser.parse_args(argv))
+    want = {dest: parsed[dest] for dest in own}
+    if sub == "verify":
+        want["input_sha256"] = hashlib.sha256(COS_FILE_BODY.encode()).hexdigest()
+    man = json.loads((tmp_path / "o.manifest.json").read_text())
+    # key order too: the manifest file lists them as declared
+    assert list(man["parameters"].items()) == list(want.items())
+
+
 def test_config_file_and_tol_precedence(tmp_path):
     cfg = tmp_path / "prec.cfg"
     cfg.write_text("target_abs_tol = 1e-10\nmax_radius = 3000\n")
@@ -225,6 +269,21 @@ def test_config_integer_keys_refuse_non_integers(tmp_path, capsys, line):
                      "--config", str(bad)])
     assert code == 2
     assert capsys.readouterr().err.startswith("torsob: domain-error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["theta", "--model", "theta0", "--delta-grid", "1:2:2", "--config", "FILE"],
+     ["verify", "--input", "FILE", "--inequality", "log0"]],
+)
+def test_a_file_that_is_not_utf8_is_a_domain_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"max_radius = 3000\n\xff\n")
+    code = cli.main([str(bad) if a == "FILE" else a for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("torsob: domain-error:") and len(err.splitlines()) == 1
+    assert f"{bad}: not UTF-8 text" in err
 
 
 def test_config_integer_keys_accept_integral_floats(tmp_path):

@@ -16,7 +16,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torsob import field
-from torsob.errors import DomainError, ResourceLimitError, ToleranceUnreachableError
+from torsob.errors import (
+    DomainError,
+    InputFormatError,
+    ResourceLimitError,
+    ToleranceUnreachableError,
+)
 from torsob.lattice import CaseDN, PrecisionConfig, _z2_moment, critical_sums
 
 from green_images import g0_image_route, image_sum_ring_loop
@@ -59,6 +64,17 @@ def test_g0_near_origin_constant():
 def test_g0_singularity_rejected():
     with pytest.raises(DomainError):
         field.g0_value((0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "x", [(5e-324, 0.0), (1e-310, 1e-310), (0.0, -2e-308), (1e-300, 0.0)]
+)
+def test_g0_too_close_to_the_origin_is_unreachable(x):
+    # the row cutoff 42/t2 overflows an int (or has 302 digits) at these
+    # points; it is refused as a float, with a short message
+    with pytest.raises(ToleranceUnreachableError, match="row cutoff") as info:
+        field.g0_value(x)
+    assert len(str(info.value)) < 120
 
 
 @pytest.mark.parametrize("mu", [0.5, 2.0])
@@ -367,6 +383,13 @@ def test_fourier_input_from_file(tmp_path):
     bad.write_text("1 0 1 0\n1 0 1 0\n-1 0 1 0\n")
     with pytest.raises(DomainError):
         field.FourierInput.from_file(str(bad))
+
+
+def test_fourier_input_that_is_not_utf8_is_a_format_error(tmp_path):
+    p = tmp_path / "modes.bin"
+    p.write_bytes(b"1 0 1 0\n-1 0 1 0 \xff\n")
+    with pytest.raises(InputFormatError, match="FourierInput: .*modes.bin: not UTF-8"):
+        field.FourierInput.from_file(str(p))
 
 
 # ----------------------------------------------------- verify_inequality
