@@ -52,8 +52,8 @@ __all__ = [
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
-#: search interval for the eps-infimum (the infimum sits at small eps, but
-#: never at 0 where C blows up)
+#: search interval for elementary_comparison's eps-infimum (the infimum sits
+#: at small eps, but never at 0 where C blows up)
 _EPS_LO, _EPS_HI = 1e-4, 0.5
 
 
@@ -245,5 +245,8 @@ def first_method_bound(delta: float) -> float:
         eps = math.exp(log_eps)
         return embedding_constant(eps) * delta**eps
 
-    _, val = golden_min(objective, math.log(_EPS_LO), math.log(_EPS_HI), xtol=1e-8)
+    # the bound holds for every eps in (0, 1] (Cauchy-Schwarz with weight
+    # |k|^{2(1+eps)}, then Holder between the |k|^2 and |k|^4 norms), and
+    # below delta ~ 3.9 the argmin lies above 1/2
+    _, val = golden_min(objective, math.log(_EPS_LO), 0.0, xtol=1e-8)
     return val

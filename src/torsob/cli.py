@@ -81,6 +81,9 @@ _NOT_PARAMETERS = frozenset(
     {"subcommand", "func", "output", "gnuplot", "config", "tol", "max_radius"}
 )
 
+#: the most points a grid spec may ask for; numpy fails to allocate far larger grids
+_MAX_GRID_STEPS = 10**6
+
 
 class Payload(NamedTuple):
     """What a subcommand computed: the CSV table as (header, rows, notes),
@@ -125,8 +128,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise InputFormatError(f"unparsable grid spec {text!r}") from exc
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise InputFormatError(f"grid spec needs finite a <= b, got {text!r}")
-    if steps < 1:
-        raise InputFormatError(f"grid spec needs steps >= 1, got {text!r}")
+    if not 1 <= steps <= _MAX_GRID_STEPS:
+        raise InputFormatError(f"grid spec needs 1 <= steps <= {_MAX_GRID_STEPS}, got {text!r}")
     if log:
         if a <= 0.0:
             raise InputFormatError("log grid needs a strictly positive start")

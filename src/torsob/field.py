@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -222,6 +223,10 @@ def _extremal_cached(
     mu: float, resolution: int, cfg: PrecisionConfig
 ) -> FieldGrid:
     triple = critical_sums(mu, cfg=cfg)
+    # g ~ 4.66/mu^2 leaves the normal floats past mu ~ 1.4e154, then loses
+    # bits to gradual underflow (h > g, and the l2 sum ~ 0.92 g, under one bit)
+    if not triple.g.value >= sys.float_info.min:
+        raise DomainError(f"extremal_field: the norms underflow at mu={mu:g}")
     # |x_i| = pi |2i - res| / res: u_mu is even in each coordinate and
     # symmetric under x1 <-> x2, so one table over the distinct distances
     # fills the grid, and the mirrored grid is exactly symmetric
@@ -264,6 +269,7 @@ def extremal_field(
     are (2pi)^2 g(mu) and (2pi)^2 h(mu) from critical_sums, with its
     certified bounds; l2 is summed term by term over |k| <= R, with R the
     smallest radius whose rigorous tail bound is within cfg.target_abs_tol.
+    mu past about 1e154, where the norms underflow, is a DomainError.
     Results are cached per (mu, resolution, config).
     """
     if not (mu > 0.0) or not math.isfinite(mu):

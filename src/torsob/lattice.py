@@ -29,15 +29,16 @@ Error accounting: every returned component carries an absolute error bound
 assembled from its tail error, explicit bounds on omitted expansion orders,
 and a rounding allowance proportional to the accumulated magnitude.  Three
 mechanisms close a tail past an enumeration radius: the cell sandwich
-(:func:`_power_tail_bracket`, :func:`tail_bracket`) puts a radially
-decreasing tail between two closed-form integrals over annuli that cover
-the lattice cells; the clipped moments (:func:`_clipped_moment`) subtract a
-partial sum from the full-lattice moment and charge the noise of that
-cancellation, near 1e-14 of the moment, whenever it is below the sandwich
-width; and one function, :func:`_screened_tail`, completes every direct
-sum sum' q^{-s} (1 + mu q^n)^{-p} (the critical triple with s = 1, n = 1,
-the (d, n) triple with s = 0, and the mixed norm of :mod:`torsob.bounds`
-with s = 1 - eps).  With x = mu q^n large on the tail, it expands
+(:func:`_power_tail_bracket`; :func:`tail_bracket` scales it by a screen's
+envelope) puts a power tail sum' |k|^-p between two closed-form integrals
+over annuli that cover the lattice cells; the clipped moments
+(:func:`_clipped_moment`) subtract a partial sum from the full-lattice
+moment and charge the noise of that cancellation, near 1e-14 of the
+moment, whenever it is below the sandwich width; and one function,
+:func:`_screened_tail`, completes every direct sum
+sum' q^{-s} (1 + mu q^n)^{-p} (the critical triple with s = 1, n = 1, the
+(d, n) triple with s = 0, and the mixed norm of :mod:`torsob.bounds` with
+s = 1 - eps).  With x = mu q^n large on the tail, it expands
 1/(1 + x) = sum_m (-1)^{m+1} x^{-m} into moments and bounds the omitted
 orders by the first of them, times a geometric factor, for either sign of
 mu; :func:`_shell_sums` sums the same terms over the shells up to the
@@ -326,34 +327,17 @@ def tail_bracket(R: float, mu: float) -> tuple[float, float]:
     """Rigorous lower/upper bounds for the sum over |k| > R of Z^2 of the
     screened-g summand S(|k|) = 1/(|k|^2 (1 + mu |k|^2)^2), mu > 0.
 
-    This is the cell sandwich above for d = 2, at a = R + sqrt 2 (lower)
-    and a = R - sqrt 2 (upper), with the radial integrals int_a^inf s S ds
-    and int_a^inf S ds in closed form through
-    S(s) = 1/s^2 - mu/(1 + mu s^2) - mu/(1 + mu s^2)^2.
+    Past R, S(r) = mu^-2 r^-6 (mu r^2/(1 + mu r^2))^2, and the last factor
+    rises from its value at R towards 1, so the |k|^-6 cell sandwich
+    scaled by mu^-2 (mu R^2/(1 + mu R^2))^2 and by mu^-2 brackets the sum.
     """
     if not (R >= 2.0):
         raise DomainError("tail_bracket: need R >= 2")
     if not mu > 0.0:
         raise DomainError("tail_bracket: need mu > 0 (monotone screen)")
-    sm = math.sqrt(mu)
-
-    def integrals(a: float) -> tuple[float, float]:
-        t = mu * a * a
-        first = 0.5 * (math.log1p(1.0 / t) - 1.0 / (1.0 + t))
-        atan_tail = (math.pi / 2.0 - math.atan(sm * a)) / sm  # int ds/(1 + mu s^2)
-        h_tail = (  # int ds/(1 + mu s^2)^2
-            math.pi / (4.0 * sm)
-            - a / (2.0 * (1.0 + mu * a * a))
-            - math.atan(sm * a) / (2.0 * sm)
-        )
-        return first, 1.0 / a - mu * atan_tail - mu * h_tail
-
-    c = math.sqrt(2.0) / 2.0
-    i1_lo, i2_lo = integrals(R + math.sqrt(2.0))
-    i1_hi, i2_hi = integrals(max(R - math.sqrt(2.0), c))
-    lower = 2.0 * math.pi * (i1_lo - c * i2_lo)
-    upper = 2.0 * math.pi * (i1_hi + c * i2_hi)
-    return max(lower, 0.0), upper
+    lower, upper = _power_tail_bracket(2, 6.0, R)
+    w = R * R / (1.0 + mu * R * R)  # the lower factor's square root; at most R^2
+    return lower * w * w, upper / mu / mu  # the upper is inf, not an error, at tiny mu
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ def test_mode_splitting_domain():
 
 
 def test_first_method_frozen():
-    assert abs(first_method_bound(2.0) - 0.32360644349722284) < 1e-10
+    assert abs(first_method_bound(2.0) - 0.2981978110014028) < 1e-10
     assert abs(first_method_bound(6.0) - 0.548393615051356) < 1e-10
     assert abs(first_method_bound(10.0) - 0.6616250613964029) < 1e-10
 
@@ -425,11 +425,11 @@ def test_first_method_dominates_theta():
 
 
 def test_first_method_is_a_min_over_eps():
-    # no single eps may beat the reported minimum
-    delta = 6.0
-    fm = first_method_bound(delta)
-    for eps in (0.05, 0.1, 0.2, 0.4):
-        assert fm <= embedding_constant(eps) * delta**eps * (1.0 + 1e-12) + 1e-12
+    # no single eps in (0, 1] may beat the reported minimum
+    for delta, epss in ((6.0, (0.05, 0.1, 0.2, 0.4)), (2.0, (0.6, 0.8, 1.0))):
+        fm = first_method_bound(delta)
+        for eps in epss:
+            assert fm <= embedding_constant(eps) * delta**eps * (1.0 + 1e-12) + 1e-12
 
 
 def test_first_method_log_factor_tends_to_e():

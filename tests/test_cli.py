@@ -169,7 +169,7 @@ def test_bounds_row_frozen():
     assert r.returncode == 0
     rows = [ln for ln in r.stdout.splitlines() if ln.startswith("2.0,")]
     assert rows[0] == (
-        "2.0,0.26651186311040814,0.38183122552141724,0.32360644349722284"
+        "2.0,0.26651186311040814,0.38183122552141724,0.2981978110014028"
     )
 
 
@@ -354,6 +354,15 @@ def test_tiny_mu_exit_code(args):
     assert r.stderr == "torsob: domain-error: critical_sums: mu underflows double precision\n"
 
 
+@pytest.mark.parametrize("mu, code", [("1e300", 2), ("1e-200", 3)])
+def test_field_extreme_mu_exit_code(mu, code):
+    # norms that underflow are a domain error; an l2 tail that cannot be
+    # certified within max_radius is unreachable
+    r = run_cli("field", "--mu", mu, "--resolution", "32")
+    assert r.returncode == code
+    assert len(r.stderr.splitlines()) == 1 and r.stdout == ""
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     """Count the calls of module.name through every torsob module that
     binds it."""
@@ -378,6 +387,14 @@ def test_theta_rows_solve_each_point_once(monkeypatch):
     assert cli.main(["theta", "--model", "exact", "--delta-grid", "1:40:10"]) == 0
     assert len(sums) == 61  # nine root solves; delta = 1 is closed form
     assert len(set(sums)) == len(sums)
+
+
+@pytest.mark.parametrize("steps", ["1000000000000000", "99999999999999999999999"])
+def test_grid_steps_past_the_cap_exit_code(steps):
+    r = run_cli("theta", "--model", "theta0", "--delta-grid", f"1:2:{steps}")
+    assert r.returncode == 2
+    assert r.stderr.startswith("torsob: domain-error: grid spec needs 1 <= steps <= 1000000")
+    assert len(r.stderr.splitlines()) == 1 and r.stdout == ""
 
 
 def test_domain_error_exit_code():

@@ -201,6 +201,16 @@ def test_extremal_validation():
         field.extremal_field(0.0, 64)
     with pytest.raises(DomainError):
         field.extremal_field(1.0, 24)  # resolution floor is 32
+    for mu in (1e160, 1e300):  # g(mu) is subnormal at 1e160 and 0 at 1e300
+        with pytest.raises(DomainError, match="underflow"):
+            field.extremal_field(mu, 32)
+
+
+def test_extremal_large_mu_norms():
+    # far out the norms are (2 pi)^2 Z2(j)/mu^2, and the l2 radius certifies
+    fg = field.extremal_field(1e30, 32)
+    for value, j in ((fg.l2_norm_sq, 4), (fg.grad_norm_sq, 3), (fg.lap_norm_sq, 2)):
+        assert value * 1e60 == pytest.approx(4.0 * math.pi**2 * _z2_moment(j).value, rel=1e-10)
 
 
 def test_extremal_unreachable_mu():

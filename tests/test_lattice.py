@@ -524,8 +524,8 @@ def test_tail_bracket_plain_encloses():
     assert 0.0 < hi - lo < 5e-4
 
 
-@pytest.mark.parametrize("mu", [0.3, 10.0])
-@pytest.mark.parametrize("R", [40.0, 80.0])
+@pytest.mark.parametrize("mu", [0.3, 10.0, 1e3, 1e4, 1e7, 1e12])
+@pytest.mark.parametrize("R", [40.0, 80.0, 200.0])
 def test_tail_bracket_screened_g_encloses(R, mu):
     # the sandwich behind the field's l2 radius; the box of brute_tail
     # misses only |k| > 1000, where the summand is below |k|^-6 / mu^2
@@ -542,6 +542,12 @@ def test_tail_bracket_monotone_in_radius():
         cur = tail_bracket(R, 0.3)
         assert cur[1] < prev[1]
         prev = cur
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e-200, 1e300])
+def test_tail_bracket_finite_mu_never_raises(mu):
+    lo, hi = tail_bracket(64.0, mu)
+    assert 0.0 <= lo <= hi
 
 
 def test_tail_bracket_validation():
