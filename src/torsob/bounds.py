@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .lattice import (
     _screened_tail,
     _shell_block,
     _shells,
-    _z2_moment,
     critical_sums,
     hardy_sum,
 )
@@ -157,19 +155,20 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
     with S_low = sum over 0 < |k| <= N of |k|^-2 and S_high the complementary
     |k|^-4 tail.  Both sums are step functions of N, so only exact shell
     radii (squared norms representable as a sum of two squares) are cuts;
-    ties break toward the smaller radius.  With n*^2 = delta log delta, the
-    minimum runs over every shell radius with N^2 <= max(16 n*^2, 400)
-    while n*^2 < 1e5, by two passes that stream the shells block by block
-    and keep no table (:func:`_split_over_shells`: S_high as Z2(2) less
-    every shell up to the last cut, plus the shells above each cut,
-    smallest first); the winning cut is itself a shell.  Above that it
-    runs over the integer points of a geometric grid of 700 points on
-    [n*^2/6, 6 n*^2], where both sums equal those of the
-    shell at or below, from the row kernel :func:`~torsob.lattice._partial_sums_at`:
-    each lattice row closed in k2 less its Euler-Maclaurin tail (first
-    omitted term below 2.5e-16 of the tail), the rows past the cut as
-    pi zeta(3, isqrt(N^2) + 1), and S_high summed from its own terms.  Only
-    the winning point is snapped to its shell.  Returns (P, N_min).
+    ties break toward the smaller radius.  Both sides of the enumeration
+    switch take their cut sums from the row kernel
+    :func:`~torsob.lattice._partial_sums_at`: each lattice row closed in k2
+    less its Euler-Maclaurin tail (first omitted term below 2.5e-16 of the
+    tail), the rows past the cut as pi zeta(3, isqrt(N^2) + 1), and S_high
+    summed from its own terms, never as Z2(2) less a partial sum.  With
+    n*^2 = delta log delta, the minimum runs over every shell radius with
+    N^2 <= max(16 n*^2, 100^2) while n*^2 < 1e5, by one pass that streams
+    the shells block by block from the kernel's sums at the block starts
+    and keeps no table (:func:`_split_over_shells`); the winning cut is
+    itself a shell.  Above that it runs over the integer points of a
+    geometric grid of 700 points on [n*^2/6, 6 n*^2], where both sums equal
+    those of the shell at or below; only the winning point is snapped to
+    its shell.  Returns (P, N_min).
     """
     if not (1.0 <= delta < math.inf):
         raise DomainError(f"mode_splitting_bound: need finite delta >= 1, got {delta!r}")
@@ -180,7 +179,7 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
             "the lattice point budget"
         )
     if n_star2 < _EXACT_ENUM_LIMIT:
-        return _split_over_shells(delta, int(max(16.0 * n_star2, 400.0)))
+        return _split_over_shells(delta, int(max(16.0 * n_star2, 1e4)))
     # ties go to the first, smallest point, and so to the smaller shell
     raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
     cands = np.unique(raw).astype(np.float64)
@@ -196,39 +195,31 @@ def _split_objective(delta: float, S2: np.ndarray, S_high: np.ndarray) -> np.nda
 
 
 def _split_over_shells(delta: float, m_cap: int) -> tuple[float, float]:
-    """(P, N) of the split objective minimized over every shell q <= m_cap.
+    """(P, N) of the split objective minimized over every shell q <= m_cap
+    (m_cap >= 100^2).
 
-    Two passes stream the blocks of :func:`~torsob.lattice._shell_block`
-    over (0, m_cap] and keep no table.  The ascending one records S_low
-    below each block and sums the |k|^-4 terms exactly (math.fsum); the
-    descending one sums the |k|^-4 tail above each cut, smallest term first
-    (the complement Z2(2) - running sum would lose the small tail to
-    cancellation), and keeps the first minimum.  Each running sum is an
-    np.cumsum with the carry of the blocks before it prepended, so every cut
-    sees the additions, in the order, of one cumsum over the whole table.
+    One descending pass streams the blocks of
+    :func:`~torsob.lattice._shell_block` over (0, m_cap] and keeps no table.
+    One call of the row kernel :func:`~torsob.lattice._partial_sums_at` on
+    the block starts and on m_cap gives S_low below each block and the
+    |k|^-4 tail above the top, so neither sum is taken as a difference.
+    Within a block, S_low runs up from its start and S_high down from the
+    block above, smallest term first, each one np.cumsum with its carry
+    prepended; the first minimum is kept.
     """
-    blocks = [(lo, min(lo + _SHELL_BLOCK, m_cap)) for lo in range(0, m_cap, _SHELL_BLOCK)]
-    carries = []  # S_low below each block
-
-    def t4_terms():
-        s2 = 0.0
-        for lo, hi in blocks:
-            carries.append(s2)
-            q, c = _shell_block(2, lo, hi)
-            s2 = float(np.cumsum(np.concatenate(([s2], c / q)))[-1])
-            yield (c / (q * q)).tolist()
-
-    beyond = _z2_moment(2).value - math.fsum(chain.from_iterable(t4_terms()))
-    best, cut, tail = math.inf, 0.0, 0.0  # tail: the |k|^-4 sum above the block
-    for (lo, hi), s2 in zip(blocks[::-1], carries[::-1]):
-        q, c = _shell_block(2, lo, hi)
+    starts = range(0, m_cap, _SHELL_BLOCK)
+    S2_at, S_high_at = _partial_sums_at(np.array([*starts[1:], m_cap], dtype=np.float64))
+    lows = [0.0, *S2_at[:-1]]  # S_low below each block
+    best, cut, tail = math.inf, 0.0, float(S_high_at[-1])  # tail: |k|^-4 above the block
+    for lo, s2 in zip(starts[::-1], lows[::-1]):
+        q, c = _shell_block(2, lo, min(lo + _SHELL_BLOCK, m_cap))
         if not len(q):
             continue
         t4 = c / (q * q)
         S2 = np.cumsum(np.concatenate(([s2], c / q)))[1:]
         above = np.cumsum(np.concatenate(([tail], t4[:0:-1])))[::-1]
         tail = float(above[0] + t4[0])
-        vals = _split_objective(delta, S2, beyond + above)
+        vals = _split_objective(delta, S2, above)
         i = int(np.argmin(vals))
         if vals[i] <= best:  # ties go to the lower block
             best, cut = float(vals[i]), float(q[i])
@@ -246,7 +237,8 @@ def first_method_bound(delta: float) -> float:
         return embedding_constant(eps) * delta**eps
 
     # the bound holds for every eps in (0, 1] (Cauchy-Schwarz with weight
-    # |k|^{2(1+eps)}, then Holder between the |k|^2 and |k|^4 norms), and
-    # below delta ~ 3.9 the argmin lies above 1/2
+    # |k|^{2(1+eps)}, then Holder between the |k|^2 and |k|^4 norms); below
+    # delta ~ 3.9 the argmin lies above 1/2, and below ~ 1.62 at the end
+    # eps = 1, which golden_min never evaluates
     _, val = golden_min(objective, math.log(_EPS_LO), 0.0, xtol=1e-8)
-    return val
+    return min(val, objective(0.0))

@@ -227,6 +227,7 @@ def _extremal_cached(
     # bits to gradual underflow (h > g, and the l2 sum ~ 0.92 g, under one bit)
     if not triple.g.value >= sys.float_info.min:
         raise DomainError(f"extremal_field: the norms underflow at mu={mu:g}")
+    R = _certified_radius(mu, cfg)  # refuses before the table is built
     # |x_i| = pi |2i - res| / res: u_mu is even in each coordinate and
     # symmetric under x1 <-> x2, so one table over the distinct distances
     # fills the grid, and the mirrored grid is exactly symmetric
@@ -244,7 +245,7 @@ def _extremal_cached(
     # the grid mean is the aliasing of the modes k = 0 mod res onto the
     # zero mode, which the field does not have
     values -= np.mean(values)
-    q, c = _shells(2, _certified_radius(mu, cfg))
+    q, c = _shells(2, R)
     w = 1.0 / (q * (1.0 + mu * q))
     four_pi_sq = 4.0 * math.pi * math.pi
     return FieldGrid(

@@ -518,7 +518,7 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
         raise ToleranceUnreachableError(
             f"critical_sums(accelerated): image budget exhausted at mu={mu:g}"
         )
-    q, c = _shells(2, M)
+    q, c = _shells(2, M + 1)  # the tail bound below starts past radius M + 1
     r = np.sqrt(q)
     args = t1 * r
     keep = args < 740.0

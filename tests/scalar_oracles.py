@@ -1,7 +1,8 @@
 """Scalar references that only the tests call: the full-lattice moments
 and the Hardy sum by theta splitting in mpmath, the partial inverse-square
 sum and Bessel K at one point, each on top of a library kernel, and the
-critical triple at |mu| > 1 in mpmath.
+critical triple in mpmath: at |mu| > 1 by its power series, at 0 < mu <= 4
+by Bessel image sums.
 """
 
 import functools
@@ -139,3 +140,62 @@ def critical_triple_mp(mu: float):
             4 / one**2 + eps**2 * g,
             4 / one**2 + eps**2 * h,
         )
+
+
+def bessel_k01_mp(x, cosh_nodes, h):
+    """(K0(x), K1(x)) for mpf x > 0 by the trapezoidal rule on
+    K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt with step h, cosh_nodes
+    the values cosh(j h), j = 0, 1, ..., up to x cosh(j h) > 130.
+
+    The integrand is even and entire, so the rule's error is that of the
+    Fourier transform at 2 pi/h, about e^{-pi^2/h} (1e-69 at h = 1/16);
+    the nodes left out are below e^{-130} in all.  mpmath's besselk takes
+    up to 0.2 s per value at 50 digits for x in [20, 60], this rule about
+    1 ms."""
+    k0 = k1 = mp.mpf(0)
+    for c in cosh_nodes:
+        if x * c > 130:
+            break
+        e = mp.exp(-x * c)
+        k0 += e
+        k1 += e * c
+    e = mp.exp(-x) / 2  # the node t = 0 has weight 1/2
+    return h * (k0 - e), h * (k1 - e)
+
+
+def critical_triple_images_mp(mu: float):
+    """The critical triple (f, g, h) at 0 < mu <= 4 to 40 digits, as mpf.
+
+    The formulas of the accelerated route, with t1 = 2 pi/sqrt(mu),
+
+        f = pi log(1/mu) + beta + mu - 2 pi sum' K0(t1 |k|),
+        h = pi/mu - 1 + 2 pi^2 mu^{-3/2} sum' |k| K1(t1 |k|),
+        g = f - mu h,
+
+    with beta = pi (2 gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4)) and
+    K0, K1 from :func:`bessel_k01_mp` at 50 digits.  The images run to the
+    radius R with t1 R >= 120; past it each ring of at most 9 R points
+    carries under e^{-t1 R} sqrt(R), so the rest is below 1e-45 of the
+    values.
+    """
+    if not (0.0 < mu <= 4.0):
+        raise DomainError(f"critical_triple_images_mp: need 0 < mu <= 4, got {mu!r}")
+    with mp.workdps(50):
+        m = mp.mpf(mu)
+        t1 = 2 * mp.pi / mp.sqrt(m)
+        step = mp.mpf(1) / 16
+        # t1 |k| >= t1 >= pi, so cosh t <= 130/pi ends every node list
+        cosh_nodes = [mp.cosh(j * step) for j in range(int(mp.acosh(130 / mp.pi) / step) + 2)]
+        q, c = _shells(2, int(mp.ceil(120 / t1)))
+        b0 = b1 = mp.mpf(0)
+        for qi, ci in zip(q, c):
+            r = mp.sqrt(int(qi))
+            k0, k1 = bessel_k01_mp(t1 * r, cosh_nodes, step)
+            b0 += int(ci) * k0
+            b1 += int(ci) * r * k1
+        beta = mp.pi * (
+            2 * mp.euler + 2 * mp.log(2) + 3 * mp.log(mp.pi) - 4 * mp.log(mp.gamma(mp.mpf(1) / 4))
+        )
+        f = mp.pi * mp.log(1 / m) + beta + m - 2 * mp.pi * b0
+        h = mp.pi / m - 1 + 2 * mp.pi**2 * m ** mp.mpf(-1.5) * b1
+        return f, f - m * h, h

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from torsob import lattice
+from torsob import bounds, lattice
 from torsob.algebraic import deviation, shifted_deviation, theta_dn
 from torsob.bounds import (
     _mixed_sum,
@@ -128,8 +128,8 @@ def test_elementary_comparison_domain():
 
 def brute_split(delta: float) -> tuple[float, float]:
     """Exhaustive minimization over every shell radius with |k|^2 up to the
-    cap of the exact candidate sweep, max(16 delta log delta, 400)."""
-    shell_cap = int(max(16.0 * delta * math.log(max(delta, 2.0)), 400.0))
+    cap of the exact candidate sweep, max(16 delta log delta, 100^2)."""
+    shell_cap = int(max(16.0 * delta * math.log(max(delta, 2.0)), 1e4))
     kmax = math.isqrt(shell_cap)
     k = np.arange(-kmax, kmax + 1)
     q = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
@@ -160,11 +160,12 @@ def test_mode_splitting_matches_brute(delta):
     assert abs(N - Nb) < 1e-12
 
 
-@pytest.mark.parametrize("delta", [1e4, 1.07e4])
+@pytest.mark.parametrize("delta", [2.0, 10.0, 300.0, 1e3, 5e3, 1e4, 1.07e4])
 def test_mode_splitting_value_matches_fsum_at_cut(delta):
-    # at the returned cut, P from correctly rounded sums over the lattice;
-    # the |k|^-4 tail is only ~pi/N^2, so a plain running sum of S4 taken
-    # from Z2(2) would be off by ~1e-11 relative here
+    # at the returned cut, P from S_low correctly rounded over the lattice
+    # and S_high at 40 digits; the |k|^-4 tail is only ~pi/N^2, so taken as
+    # Z2(2) less the fsum of the shells it would be 7.8e-11 relative off at
+    # delta = 1e4
     P, N = mode_splitting_bound(delta)
     m = round(N * N)
     kmax = math.isqrt(m)
@@ -173,9 +174,27 @@ def test_mode_splitting_value_matches_fsum_at_cut(delta):
     shells, counts = np.unique(q[(q > 0) & (q <= m)], return_counts=True)
     shells = shells.astype(np.float64)
     low2 = math.fsum(counts / shells)
-    high4 = epstein(4.0) - math.fsum(counts / shells**2)
+    high4 = float(_s_high_40_digits(m))
     ref = (math.sqrt(low2) + math.sqrt(delta * high4)) ** 2 / (4.0 * math.pi**2)
-    assert abs(P - ref) < 3e-12 * ref
+    assert abs(P - ref) < 1e-14 * ref
+
+
+def test_split_bound_enumerates_each_shell_once(monkeypatch):
+    # below the switch the shells are streamed once, in disjoint blocks
+    # that cover (0, m_cap] exactly; the cut sums come from the row kernel
+    seen = []
+
+    def block(d, lo, hi):
+        seen.append((lo, hi))
+        return lattice._shell_block(d, lo, hi)
+
+    monkeypatch.setattr(bounds, "_shell_block", block)
+    mode_splitting_bound(1e4)
+    m_cap = int(16.0 * 1e4 * math.log(1e4))
+    seen.sort()
+    assert seen[0][0] == 0 and seen[-1][1] == m_cap
+    assert all(lo < hi for lo, hi in seen)
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
 
 def _s_high_40_digits(m: int) -> mp.mpf:
@@ -244,10 +263,9 @@ def test_mode_splitting_above_switch_matches_40_digit_sums(delta, cut):
 
 def test_row_kernel_matches_shell_sums_at_every_shell():
     # every shell from the kernel's smallest cut m = 1e4 up to m = 2e5,
-    # across the enumeration switch: S2 against the running sum of the path
-    # below the switch (itself off by up to 7.7e-15 there), S_high against
-    # the shells above each cut summed smallest first plus the 40-digit tail
-    # past the last shell.  Without the f^(5) Euler-Maclaurin term S_high is
+    # across the enumeration switch: S2 against one running sum over the
+    # whole shell table, S_high against the shells above each cut summed
+    # smallest first plus the 40-digit tail past the last shell.  Without the f^(5) Euler-Maclaurin term S_high is
     # off by 9e-14 near m = 1e4
     m_cap = 200_000
     q, c = _shells(2, math.isqrt(m_cap) + 1)
@@ -292,21 +310,27 @@ def test_mode_splitting_frozen():
     assert abs(N6 - math.sqrt(20.0)) < 1e-12
 
 
+# the 40-digit objective at each cut rounds to 0.38183122552141753564,
+# 0.54738961561217137412, 0.96579017003582382286, 1.1056136993408345869,
+# 1.1653001654062650242 and 1.1711115567076264694
 @pytest.mark.parametrize(
     "delta, P_hex, N_hex",
     [
-        (2.0, "0x1.86fec3c8d308ap-2", "0x1.6a09e667f3bcdp+0"),
-        (10.0, "0x1.184373a272d45p-1", "0x1.ad5336963eefcp+2"),
-        (1e3, "0x1.ee7c0c9632e21p-1", "0x1.90bd43dd0834ap+6"),
-        (5e3, "0x1.1b097fd8aa951p+0", "0x1.e5eaeda23bdd6p+7"),
-        (1e4, "0x1.2a511c946959fp+0", "0x1.6277f73e4474dp+8"),
-        (1.07e4, "0x1.2bcdf78c004c0p+0", "0x1.6fb5300c37014p+8"),
+        pytest.param(*row, id=repr(row[0]))  # ids that a re-pin keeps
+        for row in (
+            (2.0, "0x1.86fec3c8d308fp-2", "0x1.6a09e667f3bcdp+0"),
+            (10.0, "0x1.184373a272d5cp-1", "0x1.ad5336963eefcp+2"),
+            (1e3, "0x1.ee7c0c96344bdp-1", "0x1.90bd43dd0834ap+6"),
+            (5e3, "0x1.1b097fd8adae3p+0", "0x1.e5eaeda23bdd6p+7"),
+            (1e4, "0x1.2a511c94717c3p+0", "0x1.6277f73e4474dp+8"),
+            (1.07e4, "0x1.2bcdf78c06e39p+0", "0x1.6fb5300c37014p+8"),
+        )
     ],
 )
 def test_mode_splitting_below_switch_frozen_bits(delta, P_hex, N_hex):
     # every cut below the switch is a shell (1.07e4 is the last delta
-    # before it); these are the bits of one cumsum over the whole shell
-    # table, which the block-streamed passes must reproduce
+    # before it); the cuts are those of one cumsum over the whole shell
+    # table, and P is within 5e-15 of the 40-digit objective there
     assert delta * math.log(delta) < 1e5
     P, N = mode_splitting_bound(delta)
     assert (P.hex(), N.hex()) == (P_hex, N_hex)
@@ -417,6 +441,13 @@ def test_first_method_frozen():
     assert abs(first_method_bound(2.0) - 0.2981978110014028) < 1e-10
     assert abs(first_method_bound(6.0) - 0.548393615051356) < 1e-10
     assert abs(first_method_bound(10.0) - 0.6616250613964029) < 1e-10
+
+
+def test_first_method_reaches_eps_one():
+    # below delta ~ 1.62 the minimum over eps in (0, 1] sits at the end
+    # eps = 1, where the bound is C(1) delta
+    assert first_method_bound(1.0) == embedding_constant(1.0)
+    assert first_method_bound(1.3) == embedding_constant(1.0) * 1.3
 
 
 def test_first_method_dominates_theta():

@@ -223,6 +223,21 @@ def test_extremal_unreachable_mu():
         field.extremal_field(0.5, 64, PrecisionConfig(max_radius=100))
 
 
+@pytest.mark.parametrize(
+    "mu, resolution, cfg",
+    [(1e-7, 2048, PrecisionConfig()), (0.5, 256, PrecisionConfig(max_radius=100))],
+)
+def test_extremal_refuses_the_radius_before_synthesis(monkeypatch, mu, resolution, cfg):
+    # the l2 radius is certified before the grid table, so a refused radius
+    # synthesizes no row (the table of a 2048 grid takes about 0.5 s)
+    calls = []
+    synth = field._synth_rows
+    monkeypatch.setattr(field, "_synth_rows", lambda *a: calls.append(1) or synth(*a))
+    with pytest.raises(ToleranceUnreachableError, match="l2 norm"):
+        field.extremal_field(mu, resolution, cfg)
+    assert calls == []
+
+
 @pytest.mark.parametrize("mu", [0.3, 3.0])
 def test_extremal_nodes_match_image_route(mu):
     # the screened series is g0 minus the K0 image sum plus mu; node

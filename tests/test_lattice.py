@@ -41,6 +41,8 @@ from torsob.lattice import (
 from torsob.specfun import dirichlet_beta_prime_at_1, zeta_dirichlet
 
 from scalar_oracles import (
+    bessel_k01_mp,
+    critical_triple_images_mp,
     critical_triple_mp,
     epstein_theta_split,
     hardy_sum_theta_split,
@@ -119,6 +121,38 @@ def test_critical_direct_within_its_bound_of_50_digit_references(mu):
     s = critical_sums(mu, method="direct")
     for sv, ref in zip((s.f, s.g, s.h), critical_triple_mp(mu)):
         assert abs(mp.mpf(sv.value) - ref) <= sv.abs_error_bound
+
+
+def test_image_oracle_matches_series_oracle():
+    # the two 40-digit routes to the triple agree where both hold, and the
+    # oracle's Bessel K agrees with mpmath's besselk
+    for mu in (1.05, 4.0):
+        for a, b in zip(critical_triple_images_mp(mu), critical_triple_mp(mu)):
+            assert abs(a - b) < mp.mpf(10) ** -45 * abs(b)
+    with mp.workdps(50):
+        step = mp.mpf(1) / 16
+        nodes = [mp.cosh(j * step) for j in range(80)]
+        for x in (mp.pi, mp.mpf(20)):
+            for k, ref in zip(bessel_k01_mp(x, nodes, step), (mp.besselk(0, x), mp.besselk(1, x))):
+                assert abs(k - ref) < mp.mpf(10) ** -45 * ref
+
+
+@pytest.mark.parametrize(
+    "grid, oracle",
+    [(np.linspace(1.05, 4.0, 60), critical_triple_mp),
+     (np.geomspace(1e-3, 1.0, 40), critical_triple_images_mp)],
+    ids=["1.05-4", "1e-3-1"],
+)
+def test_accelerated_g_h_within_their_bounds(grid, oracle):
+    # the images up to radius M + 1, where the tail bound starts; summing
+    # only |k| <= M broke g's bound at 9 and h's at 8 of these 60 mu, and
+    # each at 4 of these 40 (h 7.75 times its bound at mu = 0.49).  f still
+    # breaks its bound at some mu, from the rounding of beta
+    for mu in map(float, grid):
+        s = critical_sums(mu, "accelerated")
+        _, g, h = oracle(mu)
+        assert abs(mp.mpf(s.g.value) - g) <= s.g.abs_error_bound, mu
+        assert abs(mp.mpf(s.h.value) - h) <= s.h.abs_error_bound, mu
 
 
 def test_critical_small_mu_log_asymptote():
