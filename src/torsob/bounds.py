@@ -28,7 +28,6 @@ from .lattice import (
     DEFAULT_CONFIG,
     PrecisionConfig,
     _dot,
-    _largest_two_squares,
     _partial_sums_at,
     _SHELL_BLOCK,
     _screened_tail,
@@ -144,8 +143,12 @@ def alpha_constant() -> float:
 # mode splitting
 # ---------------------------------------------------------------------------
 
-_EXACT_ENUM_LIMIT = 1e5  # N*^2 below this: enumerate every representable radius
-_POINT_CAP = 4e9  # squared-radius cap for the candidate sweep
+_EXACT_ENUM_LIMIT = 1e5  # n*^2 from this on: prune the shell blocks before streaming
+_POINT_CAP = 4e9  # cap on 6 n*^2, the longest cut the pruning seeds the row kernel with
+_SEED_ENDS = 32  # geometric block ends on [n*^2/6, 6 n*^2] the pruning starts from
+#: a block survives while its bracket is within this of the best evaluated
+#: cut; the kernel's sums are within 1e-15 relative
+_BRACKET_SLACK = 1e-12
 
 
 def mode_splitting_bound(delta: float) -> tuple[float, float]:
@@ -155,37 +158,78 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
     with S_low = sum over 0 < |k| <= N of |k|^-2 and S_high the complementary
     |k|^-4 tail.  Both sums are step functions of N, so only exact shell
     radii (squared norms representable as a sum of two squares) are cuts;
-    ties break toward the smaller radius.  Both sides of the enumeration
-    switch take their cut sums from the row kernel
-    :func:`~torsob.lattice._partial_sums_at`: each lattice row closed in k2
-    less its Euler-Maclaurin tail (first omitted term below 2.5e-16 of the
-    tail), the rows past the cut as pi zeta(3, isqrt(N^2) + 1), and S_high
-    summed from its own terms, never as Z2(2) less a partial sum.  With
-    n*^2 = delta log delta, the minimum runs over every shell radius with
-    N^2 <= max(16 n*^2, 100^2) while n*^2 < 1e5, by one pass that streams
-    the shells block by block from the kernel's sums at the block starts
-    and keeps no table (:func:`_split_over_shells`); the winning cut is
-    itself a shell.  Above that it runs over the integer points of a
-    geometric grid of 700 points on [n*^2/6, 6 n*^2], where both sums equal
-    those of the shell at or below; only the winning point is snapped to
-    its shell.  Returns (P, N_min).
+    ties break toward the smaller radius.  The cut sums come from the row
+    kernel :func:`~torsob.lattice._partial_sums_at`: each lattice row closed
+    in k2 less its Euler-Maclaurin tail (first omitted term below 2.5e-16
+    of the tail), the rows past the cut as pi zeta(3, isqrt(N^2) + 1), and
+    S_high summed from its own terms, never as Z2(2) less a partial sum.
+    With n*^2 = delta log delta, the minimum runs over every shell radius
+    with N^2 <= m_cap = max(16 n*^2, 100^2), streamed block by block from
+    the kernel's sums at the block starts (:func:`_split_over_shells`); the
+    winning cut is itself a shell.
+
+    While n*^2 < 1e5 every block is streamed.  From there on the blocks
+    are pruned first.  The kernel gives a = S_low and b = S_high at a few
+    dozen geometric block ends on [n*^2/6, 6 n*^2].  A cut m in
+    (m_i, m_j] between two of them has S_low(m) = a_i + X with X >= 0, and
+    each shell q > m_i that adds c/q to S_low takes c/q^2 < (c/q)/m_i from
+    S_high, so S_high(m) >= max(b_i - X/m_i, b_j).  The objective on that bound is
+    concave in X up to the kink X = m_i (b_i - b_j) and increasing past
+    it, so every cut of the gap has
+
+        4 pi^2 P(m) >= min(4 pi^2 P(m_i), (sqrt(a_i + m_i (b_i - b_j)) + sqrt(delta b_j))^2),
+
+    whose slack is second order in the gap width.  The outer gaps take no
+    kernel call at their outer ends: with m_i = 0 the bracket is
+    delta S_high(m_j), and b_j = 0 bounds S_high up to m_cap.  Every gap
+    whose bracket is within 1e-12 of the best evaluated cut is bisected at
+    a block end until it is one block wide; only the surviving blocks are
+    streamed.  Returns (P, N_min).
     """
     if not (1.0 <= delta < math.inf):
         raise DomainError(f"mode_splitting_bound: need finite delta >= 1, got {delta!r}")
     n_star2 = delta * math.log(max(delta, 2.0))
     if 6.0 * n_star2 > _POINT_CAP:
         raise ResourceLimitError(
-            f"mode_splitting_bound: delta={delta:g} needs cut radii beyond "
-            "the lattice point budget"
+            f"mode_splitting_bound: delta={delta:g} needs row-kernel cuts up "
+            f"to 6 n*^2 = {6.0 * n_star2:.3g}, beyond its budget"
         )
+    m_cap = int(max(16.0 * n_star2, 1e4))
     if n_star2 < _EXACT_ENUM_LIMIT:
-        return _split_over_shells(delta, int(max(16.0 * n_star2, 1e4)))
-    # ties go to the first, smallest point, and so to the smaller shell
-    raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
-    cands = np.unique(raw).astype(np.float64)
-    vals = _split_objective(delta, *_partial_sums_at(cands))
-    i = int(np.argmin(vals))
-    return float(vals[i]), math.sqrt(_largest_two_squares(int(cands[i])))
+        return _split_over_shells(delta, 0, m_cap)
+    # block end k is min(k B, m_cap); ends 0 and m_cap are not evaluated
+    seeds = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, _SEED_ENDS) // _SHELL_BLOCK
+    seeds = np.unique(seeds[seeds > 0]).astype(np.int64)
+    k = np.concatenate(([0], seeds, [-(-m_cap // _SHELL_BLOCK)]))
+    m = np.minimum(k * _SHELL_BLOCK, m_cap)
+    a, b = (np.concatenate(([0.0], s, [0.0])) for s in _partial_sums_at(m[1:-1]))
+    f = np.concatenate(([math.inf], _split_objective(delta, a[1:-1], b[1:-1]), [math.inf]))
+    while True:
+        kink = a[:-1] + m[:-1] * (b[:-1] - b[1:])
+        bracket = np.minimum(f[:-1], _split_objective(delta, kink, b[1:]))
+        live = bracket <= f.min() * (1.0 + _BRACKET_SLACK)
+        wide = live & (np.diff(k) > 1)
+        if not wide.any():
+            break
+        k_new = (k[:-1][wide] + k[1:][wide]) // 2
+        m_new = np.minimum(k_new * _SHELL_BLOCK, m_cap)
+        a_new, b_new = _partial_sums_at(m_new)
+        order = np.argsort(np.concatenate((k, k_new)))
+        k, m, a, b, f = (
+            np.concatenate(pair)[order]
+            for pair in ((k, k_new), (m, m_new), (a, a_new), (b, b_new),
+                         (f, _split_objective(delta, a_new, b_new)))
+        )
+    # stream each run of adjacent surviving blocks; ties go to the lower run
+    gaps = np.flatnonzero(live)
+    first = np.concatenate(([True], np.diff(gaps) > 1))
+    last = np.concatenate((first[1:], [True]))
+    best, cut = math.inf, 0.0
+    for lo, hi in zip(m[gaps[first]], m[gaps[last] + 1]):
+        P, N = _split_over_shells(delta, int(lo), int(hi))
+        if P < best:
+            best, cut = P, N
+    return best, cut
 
 
 def _split_objective(delta: float, S2: np.ndarray, S_high: np.ndarray) -> np.ndarray:
@@ -194,22 +238,27 @@ def _split_objective(delta: float, S2: np.ndarray, S_high: np.ndarray) -> np.nda
     return (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
 
 
-def _split_over_shells(delta: float, m_cap: int) -> tuple[float, float]:
-    """(P, N) of the split objective minimized over every shell q <= m_cap
-    (m_cap >= 100^2).
+def _split_over_shells(delta: float, m_lo: int, m_cap: int) -> tuple[float, float]:
+    """(P, N) of the split objective minimized over every shell q in
+    (m_lo, m_cap] (m_lo = 0 or a multiple of _SHELL_BLOCK of at least
+    100^2, m_cap >= 100^2); (inf, 0) if there is none.
 
     One descending pass streams the blocks of
-    :func:`~torsob.lattice._shell_block` over (0, m_cap] and keeps no table.
-    One call of the row kernel :func:`~torsob.lattice._partial_sums_at` on
-    the block starts and on m_cap gives S_low below each block and the
-    |k|^-4 tail above the top, so neither sum is taken as a difference.
-    Within a block, S_low runs up from its start and S_high down from the
-    block above, smallest term first, each one np.cumsum with its carry
-    prepended; the first minimum is kept.
+    :func:`~torsob.lattice._shell_block` over (m_lo, m_cap] and keeps no
+    table.  One call of the row kernel
+    :func:`~torsob.lattice._partial_sums_at` on the block starts (from
+    m_lo on, where S_low is 0 for m_lo = 0) and on m_cap gives S_low below
+    each block and the |k|^-4 tail above the top, so neither sum is taken
+    as a difference.  Within a block, S_low runs up from its start and
+    S_high down from the block above, smallest term first, each one
+    np.cumsum with its carry prepended; the first minimum is kept.
     """
-    starts = range(0, m_cap, _SHELL_BLOCK)
-    S2_at, S_high_at = _partial_sums_at(np.array([*starts[1:], m_cap], dtype=np.float64))
-    lows = [0.0, *S2_at[:-1]]  # S_low below each block
+    starts = range(m_lo, m_cap, _SHELL_BLOCK)
+    cuts = [*starts[1:], m_cap]
+    if m_lo:
+        cuts.insert(0, m_lo)
+    S2_at, S_high_at = _partial_sums_at(np.array(cuts, dtype=np.float64))
+    lows = [*S2_at[:-1]] if m_lo else [0.0, *S2_at[:-1]]  # S_low below each block
     best, cut, tail = math.inf, 0.0, float(S_high_at[-1])  # tail: |k|^-4 above the block
     for lo, s2 in zip(starts[::-1], lows[::-1]):
         q, c = _shell_block(2, lo, min(lo + _SHELL_BLOCK, m_cap))

@@ -898,9 +898,17 @@ def _partial_sums_at(m_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     term and never taken as Z2(2) less a partial sum.  The (cut, row)
     pairs go through in blocks of whole cuts, at most 2^15 pairs each
     unless one cut is longer, reduced by a pairwise np.add.reduceat;
-    nothing is kept between calls.
+    nothing is kept between calls.  A cut below 100^2 (whose tails would
+    start inside the radius the Euler-Maclaurin bound needs), from 2^52
+    on (where isqrt by float sqrt fails) or not an integer is refused
+    before any row is allocated.
     """
-    m = np.rint(np.asarray(m_list, dtype=np.float64))
+    m = np.asarray(m_list, dtype=np.float64)
+    if not (len(m) and np.all((m >= 100.0**2) & (m < 2.0**52) & (m == np.floor(m)))):
+        raise DomainError(
+            "_partial_sums_at: need a nonempty array of integers m with "
+            "100^2 <= m < 2^52"
+        )
     A = np.floor(np.sqrt(m))  # exact for m < 2^52
     n_rows = A.astype(np.int64) + 1
     ends = np.cumsum(n_rows)

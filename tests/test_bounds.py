@@ -244,11 +244,13 @@ def test_s_high_reference_against_catalan():
 
 
 @pytest.mark.parametrize(
-    "delta, cut", [(1.08e4, 136777), (1e5, 1506866), (1e6, 17534677)]
+    "delta, cut", [(1.08e4, 136592), (1e5, 1504676), (1e6, 17500597)]
 )
 def test_mode_splitting_above_switch_matches_40_digit_sums(delta, cut):
-    # the cut of the parent row loop, and P from S_high summed at 40 digits
-    # by polygammas and S_low by direct rows; Z2(2) - S4 missed by 1e-11 to 4e-9
+    # the minimum over every shell, and P from S_high summed at 40 digits
+    # by polygammas and S_low by direct rows; Z2(2) - S4 missed by 1e-11 to
+    # 4e-9.  The best of a 700-point grid gave cuts 136777, 1506866 and
+    # 17534677, 3.5e-8 to 7.5e-8 higher in P
     P, N = mode_splitting_bound(delta)
     m = round(N * N)
     assert m == cut
@@ -259,6 +261,15 @@ def test_mode_splitting_above_switch_matches_40_digit_sums(delta, cut):
     assert abs(S_high[0] - s_high) < 1e-15 * s_high
     ref = (math.sqrt(s_low) + math.sqrt(delta * s_high)) ** 2 / (4.0 * math.pi**2)
     assert abs(P - ref) < 1e-13 * ref
+
+
+@pytest.mark.parametrize("m", [50.0, 9999.0, 2.0**52, 1e4 + 0.5, math.nan])
+def test_row_kernel_refuses_cuts_outside_its_domain(m):
+    # below 100^2 the Euler-Maclaurin tails lose their bound (S2 is 1.3e-5
+    # off at m = 2 and 9.7e-11 at m = 50); from 2^52 on the rows alone
+    # would take several GB, so the refusal must come first
+    with pytest.raises(DomainError, match="100\\^2 <= m < 2\\^52"):
+        _partial_sums_at(np.array([1e4, m]))
 
 
 def test_row_kernel_matches_shell_sums_at_every_shell():
@@ -286,9 +297,9 @@ def test_row_kernel_matches_shell_sums_at_every_shell():
 
 
 def test_row_kernel_peak_memory():
-    # the delta = 1e6 cut list as mode_splitting_bound builds it, the raw
-    # grid points; blocks of whole cuts keep the kernel's working set to a
-    # few MiB
+    # a stress input of 700 cuts, the geometric grid on [n*^2/6, 6 n*^2]
+    # at delta = 1e6 that mode_splitting_bound once evaluated whole; blocks
+    # of whole cuts keep the kernel's working set to a few MiB
     n_star2 = 1e6 * math.log(1e6)
     raw = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, 700).astype(np.int64)
     cands = np.unique(raw).astype(np.float64)
@@ -299,6 +310,80 @@ def test_row_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _m_cap(delta: float) -> int:
+    return int(max(16.0 * delta * math.log(max(delta, 2.0)), 1e4))
+
+
+@pytest.mark.parametrize("delta", [1.08e4, 2e4])
+def test_mode_splitting_above_switch_matches_exhaustive_stream(delta):
+    # the pruned search against a stream of every block of (0, m_cap]; the
+    # best of the old 700-point grid was 136777 at 1.08e4
+    P, N = mode_splitting_bound(delta)
+    Pe, Ne = bounds._split_over_shells(delta, 0, _m_cap(delta))
+    assert N == Ne
+    assert abs(P - Pe) < 1e-14 * Pe
+
+
+@pytest.mark.parametrize("k0", [36, 300])
+def test_split_bracket_bounds_every_cut_of_its_gap(k0):
+    # at delta = 1e5 the minimum sits in block 46; for 20 consecutive
+    # block-end pairs m_i < m_j near it and far above it, the streamed
+    # minimum over (m_i, m_j] is at least the second-order bracket
+    # min(F(m_i), (sqrt(a_i + m_i (b_i - b_j)) + sqrt(delta b_j))^2)
+    delta = 1e5
+    m = np.arange(k0, k0 + 21, dtype=np.float64) * lattice._SHELL_BLOCK
+    a, b = _partial_sums_at(m)
+    F = (np.sqrt(a) + np.sqrt(delta * b)) ** 2
+    kink = a[:-1] + m[:-1] * (b[:-1] - b[1:])
+    bracket = np.minimum(F[:-1], (np.sqrt(kink) + np.sqrt(delta * b[1:])) ** 2)
+    for i in range(20):
+        P, _ = bounds._split_over_shells(delta, int(m[i]), int(m[i + 1]))
+        assert 4.0 * math.pi**2 * P >= bracket[i] * (1.0 - 1e-14)
+
+
+@pytest.mark.parametrize(
+    "delta", [1.0, 1.5, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 3e7]
+)
+def test_no_cut_past_m_cap_can_win(delta):
+    # every cut m > m_cap has 4 pi^2 P(m) >= S_low(m) >= S_low(m_cap)
+    P, _ = mode_splitting_bound(delta)
+    S2, _ = _partial_sums_at(np.array([float(_m_cap(delta))]))
+    assert S2[0] > 4.0 * math.pi**2 * P
+
+
+def test_split_bound_above_switch_evaluates_few_cuts(monkeypatch):
+    # at delta = 1e6 the pruning evaluates a few dozen block ends and
+    # streams a few blocks; the 700-point grid passed 700 cuts
+    cuts, blocks = [], []
+
+    def kernel(m):
+        cuts.extend(m)
+        return lattice._partial_sums_at(m)
+
+    def block(d, lo, hi):
+        blocks.append((lo, hi))
+        return lattice._shell_block(d, lo, hi)
+
+    monkeypatch.setattr(bounds, "_partial_sums_at", kernel)
+    monkeypatch.setattr(bounds, "_shell_block", block)
+    P, N = mode_splitting_bound(1e6)
+    assert round(N * N) == 17500597
+    assert len(cuts) <= 200
+    assert len(blocks) <= 16
+
+
+def test_split_bound_above_switch_peak_memory():
+    # the kernel's longest cut stays near 6 n*^2: evaluating it at
+    # m_cap = 16 n*^2 ~ 8.3e9 would read about 11 MiB
+    tracemalloc.start()
+    try:
+        mode_splitting_bound(3e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_mode_splitting_frozen():
@@ -352,8 +437,8 @@ def test_split_bound_below_switch_peak_memory(monkeypatch):
 
 def test_mode_splitting_monotone_across_enumeration_switch():
     # n*^2 = delta log delta crosses the exact-enumeration limit 1e5 between
-    # 1.07e4 and 1.08e4; the sampled minimum above it may not undercut the
-    # exact one below it
+    # 1.07e4 and 1.08e4; the pruned minimum above it may not undercut the
+    # exhaustive one below it
     deltas = [9e3, 1e4, 1.07e4, 1.08e4, 1.2e4]
     assert deltas[2] * math.log(deltas[2]) < 1e5 < deltas[3] * math.log(deltas[3])
     Ps = [mode_splitting_bound(d)[0] for d in deltas]
