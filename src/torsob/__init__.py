@@ -5,12 +5,13 @@ zero-mean periodic functions on tori.
 The package is organized around the objects it computes:
 
 ``specfun``
-    certified special-function kernel (Bessel K, Lambert W, Riemann and
-    Hurwitz zeta, Dirichlet beta);
+    certified special-function kernel (Lambert W, Riemann and Hurwitz
+    zeta, Dirichlet beta);
 ``lattice``
-    every lattice sum: the 2D critical triple (f, g, h), the general
-    algebraic (d, n) triple, Hardy-type sums, rigorous tail brackets and
-    sum-of-two-squares counting;
+    every lattice sum: the 2D critical triple (f, g, h), by shells or by
+    rows closed in the last coordinate, the general algebraic (d, n)
+    triple, Hardy-type sums, rigorous tail brackets and sum-of-two-squares
+    counting;
 ``curve``
     the extremal curve Theta(delta), its approximants, the tangent
     condition and the sharp double-log constant L;

@@ -34,7 +34,10 @@ from .lattice import (
     DEFAULT_CONFIG,
     CaseDN,
     PrecisionConfig,
+    _cosh_ratio,
     _dot,
+    _row0,
+    _row_terms,
     _shells,
     critical_sums,
     tail_bracket,
@@ -113,42 +116,6 @@ def _refined_sup(values: np.ndarray) -> float:
     return float(total)
 
 
-def _row_terms(k1: np.ndarray, t2: float, mu: float) -> np.ndarray:
-    """pi (h(k1) - h(a)) for rows k1 >= 1, h(x) = cosh(x(pi - t2))/(x sinh(pi x))
-    and a = sqrt(k1^2 + 1/mu): row k1 of sum' cos(k2 t2)/(k^2 (1 + mu k^2)).
-
-    The two closed forms agree to about 1/mu, so the difference is taken
-    as a quotient: h(k1) - h(a) = -h(k1) expm1(log(h(a)/h(k1))), where the
-    logarithm is a sum of log1p/expm1 terms in d = a - k1 = (1/mu)/(a + k1),
-    each of one sign.  e^{-k1 t2} is a product over the float32 head of t2
-    and its remainder, so that the argument k1 t2 (up to about 70) is not
-    rounded.
-    """
-    d = (1.0 / mu) / (np.sqrt(k1 * k1 + 1.0 / mu) + k1)
-    u = math.pi - t2
-    y = np.exp(-2.0 * u * k1)
-    z = np.exp(-2.0 * math.pi * k1)
-    head = float(np.float32(t2))
-    h = np.exp(-head * k1) * np.exp((head - t2) * k1) * (1.0 + y) / ((1.0 - z) * k1)
-    log_ratio = (
-        -d * t2
-        + np.log1p(y * np.expm1(-2.0 * u * d) / (1.0 + y))
-        - np.log1p(-z * np.expm1(-2.0 * math.pi * d) / (1.0 - z))
-        - np.log1p(d / k1)
-    )
-    return -math.pi * h * np.expm1(log_ratio)
-
-
-def _cosh_ratio(a, t2: float):
-    """cosh(a(pi - t2))/sinh(pi a), stable for large a: (pi/a) times it is
-    sum_{k in Z} cos(k t2)/(k^2 + a^2)."""
-    return (
-        np.exp(-a * t2)
-        * (1.0 + np.exp(-2.0 * a * (math.pi - t2)))
-        / (1.0 - np.exp(-2.0 * math.pi * a))
-    )
-
-
 def _row_wavenumbers(t2: float) -> np.ndarray:
     """The rows k1 = 1..M summed at larger coordinate t2 > 0: row k1 is
     O(e^{-k1 t2}), so they run past the factor e^{-42}."""
@@ -167,36 +134,14 @@ def _synth_rows(t1: np.ndarray, t2: float, mu: float) -> np.ndarray:
 
     The summand splits as 1/k^2 - 1/(k^2 + 1/mu).  Rows run over k1, the
     wavenumber of the smaller coordinate t1; each row closes in the larger
-    coordinate t2 via the identities
-    sum_{k in Z} cos(k t)/(k^2+a^2) = (pi/a) cosh(a(pi-|t|))/sinh(pi a) and
-    sum_{k != 0} cos(k t)/k^2 = pi^2/3 - pi|t| + t^2/2, and the difference of
-    the two is formed without cancellation (:func:`_row_terms`).  Row k1
-    is O(e^{-k1 t2}), so rows stop once that factor is below e^{-42}.
+    coordinate t2 in closed form, the difference of the two parts formed
+    without cancellation (:func:`~torsob.lattice._row_terms`, and
+    :func:`~torsob.lattice._row0` for k1 = 0).  Row k1 is O(e^{-k1 t2}), so
+    rows stop once that factor is below e^{-42}.
     """
-    # row 0: sum_{k != 0} cos(k t2) (1/k^2 - 1/(k^2 + b^2)), b = 1/sqrt(mu)
-    sq = math.sqrt(mu)
-    plain0 = math.pi**2 / 3.0 - math.pi * t2 + t2 * t2 / 2.0
-    if sq > 1.0:
-        # the screened sum is pi b cosh(b u) - sinh(pi b) over b^2 sinh(pi b),
-        # u = pi - t2, and it is within O(b^2) of plain0; so plain0 enters the
-        # Taylor series over the same denominator, where the b^3 terms cancel
-        # exactly and terms past n = 17 are below 1e-21
-        b, u = 1.0 / sq, math.pi - t2
-        row0 = sum(
-            b ** (2 * n - 1)
-            * math.pi
-            * (plain0 * math.pi ** (2 * n - 2) / math.factorial(2 * n - 1)
-               - u ** (2 * n) / math.factorial(2 * n)
-               + math.pi ** (2 * n) / math.factorial(2 * n + 1))
-            for n in range(2, 18)
-        ) / math.sinh(math.pi * b)
-    else:
-        s_full = (math.pi / sq) * float(_cosh_ratio(np.asarray(1.0 / sq), t2))
-        row0 = plain0 - mu * (s_full - 1.0)
-
     k1 = _row_wavenumbers(t2)
     terms = np.cos(np.multiply.outer(t1, k1)) * _row_terms(k1, t2, mu)
-    return row0 + 2.0 * terms.sum(axis=-1)
+    return _row0(t2, mu) + 2.0 * terms.sum(axis=-1)
 
 
 def _certified_radius(mu: float, cfg: PrecisionConfig) -> int:

@@ -5,8 +5,8 @@ This module owns every infinite lattice sum in the package:
 * the 2D critical triple  f(mu) = sum' 1/(k^2(1+mu k^2)),
   g(mu) = sum' 1/(k^2(1+mu k^2)^2),  h(mu) = sum' 1/(1+mu k^2)^2,
   with two independent evaluation routes (direct summation with rigorous
-  integral-sandwich tails, and an exponentially convergent Bessel-image
-  form valid for mu > 0);
+  integral-sandwich tails, and, for mu > 0, rows closed in the last
+  coordinate with an Euler-Maclaurin tail);
 * the general algebraic triple for exponent pairs (d, n) with 2n - d > 0:
   f = sum' 1/(1+mu|k|^{2n}),  g = sum' 1/(1+mu|k|^{2n})^2,
   h = (f - g)/mu = sum' |k|^{2n}/(1+mu|k|^{2n})^2;
@@ -14,14 +14,16 @@ This module owns every infinite lattice sum in the package:
   over Z^2;
 * partial sums, rigorous tail brackets, and sum-of-two-squares counting.
 
-Four kernels sit under these sums, each written once: the shell table
+Five kernels sit under these sums, each written once: the shell table
 (:func:`_shells`, distinct |k|^2 with multiplicities, grown annulus by
 annulus from :func:`_shell_block`, which counts fixed blocks of squared
 norms), the full-lattice moments (:func:`_full_moment`: 2 zeta(2j) for
 d = 1, 4 zeta(j) beta(j) for d = 2, literals and a direct shell sum for
 d = 3), the tail moments taken as full-lattice moment minus partial sum,
-clipped into their integral bracket (:func:`_clipped_moment`), and the
-screened tail (:func:`_screened_tail`).  Every dot product (BLAS call) of
+clipped into their integral bracket (:func:`_clipped_moment`), the
+screened tail (:func:`_screened_tail`), and the rows of Z^2 closed in the
+last coordinate (:func:`_row_terms`, :func:`_row0`), which the extremal
+field of :mod:`torsob.field` shares.  Every dot product (BLAS call) of
 the package goes through :func:`_dot`, whose summation order does not
 depend on the BLAS thread count.
 
@@ -48,19 +50,13 @@ radius.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ToleranceUnreachableError
-from .specfun import (
-    _BESSEL_REL_BOUND,
-    EULER_GAMMA,
-    SpecialValue,
-    _bessel_k01,
-    _hurwitz_zeta,
-    zeta_dirichlet,
-)
+from .specfun import EULER_GAMMA, SpecialValue, _hurwitz_zeta, zeta_dirichlet
 
 __all__ = [
     "PrecisionConfig",
@@ -167,7 +163,6 @@ _SHELL_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 
 # point-count safety caps per dimension for a single enumeration
 _POINT_BUDGET = {1: 40_000_000, 2: 150_000_000, 3: 40_000_000}
-_MAX_BESSEL_TERMS = 200_000  # image-point cap of the accelerated critical sums
 
 
 def _budget_radius(d: int) -> int:
@@ -447,8 +442,8 @@ def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
         if T > cfg.max_radius:
             raise ToleranceUnreachableError(
                 f"critical_sums(direct): cannot certify {tol:g} at mu={mu:g} "
-                f"within max_radius={cfg.max_radius} (accelerated method "
-                "converges exponentially for mu > 0)"
+                f"within max_radius={cfg.max_radius} (the accelerated method "
+                "serves every mu > 0 from a fixed number of rows)"
             )
         shell = _shell_sums(2, 1, 1, [mu], T)[0]
         stop = min(tol / 12.0, 1e-16 * min(abs(v) for v in shell))
@@ -488,84 +483,186 @@ def _critical_direct(mu: float, cfg: PrecisionConfig) -> SumTriple:
         T = int(T * 1.6) + 1
 
 
+# ---------------------------------------------------------------------------
+# rows closed in the last coordinate
+# ---------------------------------------------------------------------------
+#
+# Row k1 of a sum over Z^2 closes in k2 (Borwein, Glasser, McPhedran, Wan &
+# Zucker, Lattice Sums Then and Now, 2013): for 0 <= t <= pi,
+#   sum_{k2 in Z} cos(k2 t)/(k2^2 + a^2) = (pi/a) cosh(a(pi - t))/sinh(pi a),
+#   sum_{k2 != 0} cos(k2 t)/k2^2 = pi^2/3 - pi t + t^2/2.
+# The screened series sum' cos(k.x)/(k^2 (1 + mu k^2)) of the extremal field
+# splits as 1/k^2 - 1/(k^2 + 1/mu), so each of its rows is a difference of
+# two closed forms (:func:`_row_terms`, :func:`_row0`); at x = 0 it is f.
+
+
+def _row_terms(k1: np.ndarray, t2: float, mu: float) -> np.ndarray:
+    """pi (h(k1) - h(a)) for rows k1 >= 1, h(x) = cosh(x(pi - t2))/(x sinh(pi x))
+    and a = sqrt(k1^2 + 1/mu): row k1 of sum' cos(k2 t2)/(k^2 (1 + mu k^2)).
+
+    The two closed forms agree to about 1/mu, so the difference is taken
+    as a quotient: h(k1) - h(a) = -h(k1) expm1(log(h(a)/h(k1))), where the
+    logarithm is a sum of log1p/expm1 terms in d = a - k1 = (1/mu)/(a + k1),
+    each of one sign.  e^{-k1 t2} is a product over the float32 head of t2
+    and its remainder, so that the argument k1 t2 (up to about 70) is not
+    rounded.
+    """
+    c = 1.0 / mu
+    d = c / (np.sqrt(k1 * k1 + c) + k1)
+    z = np.exp(-2.0 * math.pi * k1)
+    ez = np.expm1(-2.0 * math.pi * d)
+    if t2 == 0.0:  # u = pi: the factors in u are those in pi
+        y, ey, h = z, ez, (1.0 + z) / ((1.0 - z) * k1)
+    else:
+        u = math.pi - t2
+        y = np.exp(-2.0 * u * k1)
+        ey = np.expm1(-2.0 * u * d)
+        head = float(np.float32(t2))
+        h = np.exp(-head * k1) * np.exp((head - t2) * k1) * (1.0 + y) / ((1.0 - z) * k1)
+    log_ratio = (
+        -d * t2
+        + np.log1p(y * ey / (1.0 + y))
+        - np.log1p(-z * ez / (1.0 - z))
+        - np.log1p(d / k1)
+    )
+    return -math.pi * h * np.expm1(log_ratio)
+
+
+def _cosh_ratio(a, t2: float):
+    """cosh(a(pi - t2))/sinh(pi a), stable for large a: (pi/a) times it is
+    sum_{k in Z} cos(k t2)/(k^2 + a^2)."""
+    return (
+        np.exp(-a * t2)
+        * (1.0 + np.exp(-2.0 * a * (math.pi - t2)))
+        / (1.0 - np.exp(-2.0 * math.pi * a))
+    )
+
+
+def _row0(t2: float, mu: float) -> float:
+    """Row 0 of the screened series, sum_{k != 0} cos(k t2) (1/k^2 - 1/(k^2 + b^2)),
+    b = 1/sqrt(mu): pi^2/3 - pi t2 + t2^2/2 less mu (s - 1), s =
+    sum_{k in Z} cos(k t2)/(1 + mu k^2).  For mu > 1 that difference
+    cancels, so the plain sum enters the Taylor series of the screened one,
+    pi b cosh(b u) - sinh(pi b) over b^2 sinh(pi b) with u = pi - t2, where
+    the b^3 terms cancel exactly and terms past n = 17 are below 1e-21."""
+    sq = math.sqrt(mu)
+    plain0 = math.pi**2 / 3.0 - math.pi * t2 + t2 * t2 / 2.0
+    if sq > 1.0:
+        b, u = 1.0 / sq, math.pi - t2
+        return sum(
+            b ** (2 * n - 1)
+            * math.pi
+            * (plain0 * math.pi ** (2 * n - 2) / math.factorial(2 * n - 1)
+               - u ** (2 * n) / math.factorial(2 * n)
+               + math.pi ** (2 * n) / math.factorial(2 * n + 1))
+            for n in range(2, 18)
+        ) / math.sinh(math.pi * b)
+    s_full = (math.pi / sq) * float(_cosh_ratio(1.0 / sq, t2))
+    return plain0 - mu * (s_full - 1.0)
+
+
+_ROWS = 100  # rows k1 = 1.._ROWS of the accelerated critical triple
+_ROW_K = np.arange(_ROWS + 1.0)  # k1 = 0.._ROWS
+_ROW_K2 = _ROW_K * _ROW_K
+_ROUND = 32 * 2.0**-53  # rounding of one addend of the accelerated route, relative
+#: the smallest mu of the accelerated route, 2.3e-205: 2 pi^2 mu^{-3/2} is finite
+_MU_MIN = (2.0 * math.pi**2 / sys.float_info.max) ** (2.0 / 3.0)
+
+
+def _critical_tails(c: float) -> tuple[float, float, float, float]:
+    """(T_f, T_h, trunc_f, trunc_h): the rows a > _ROWS of f and h at c = 1/mu,
+    sum_a (pi/a - pi/r) and sum_a (pi/2) c^2/r^3 with r = sqrt(a^2 + c),
+    and their truncation bounds.
+
+    Euler-Maclaurin from N = _ROWS + 1 with the f', f''', f^(5) and f^(7)
+    terms.  The integrals from N are pi log1p(c/(2N(r + N))) and
+    (pi c/2) c/(r(r + N)); the n-th derivatives at N are
+    pi (-1)^n n! (N^{-n-1} - P_n(u) r^{-n-1}) and
+    (pi/2) (-1)^n n! C_n(u) v^2 r^{1-n}, with u = N/r, v = c/r^2 (v^2 r^4
+    stands for c^2, which overflows at small mu), P_n the Legendre and C_n
+    the Gegenbauer (lambda = 3/2) polynomials.  The poles +-i sqrt(c) lie
+    at least N from [N, inf), so, as in :func:`_row_tails`, the first
+    omitted term bounds the rest: with |P_9| <= 1 and |C_9| <= 55 it is
+    below pi/(66 N^10) for f and (5 pi/24) v^2/r^8 for h.  The rows drop
+    their parts below e^{-2 pi a}: at most 2 pi e^{-2 pi a}/(a (1 - e^{-2 pi}))
+    for f and, as c <= a^2 + c, (2 pi^2 + pi) a^2 e^{-2 pi a}/(1 - e^{-2 pi})^2
+    for h, in all below 24 N^2 e^{-2 pi N}.
+    """
+    N = _ROWS + 1.0
+    n2 = N * N
+    r2 = n2 + c
+    r = math.sqrt(r2)
+    u, v, q = N / r, c / r2, c / (r * (r + N))
+    u2 = u * u
+    # 1 - u^(n+1) P_n(u) and C_n(u), n = 1, 3, 5, 7
+    d1 = 1.0 - u2 * u
+    d3 = 1.0 - u2 * u2 * u * (2.5 * u2 - 1.5)
+    d5 = 1.0 - u2 * u2 * u2 * u * (15.0 + u2 * (-70.0 + u2 * 63.0)) / 8.0
+    d7 = 1.0 - u2**4 * u * (-35.0 + u2 * (315.0 + u2 * (-693.0 + u2 * 429.0))) / 16.0
+    c1, c3 = 3.0 * u, u * (17.5 * u2 - 7.5)
+    c5 = u * (105.0 + u2 * (-630.0 + u2 * 693.0)) / 8.0
+    c7 = u * (-315.0 + u2 * (3465.0 + u2 * (-9009.0 + u2 * 6435.0))) / 16.0
+    em_f = (d1 / 12.0 - (d3 / 120.0 - (d5 / 252.0 - d7 / (240.0 * n2)) / n2) / n2) / n2
+    em_h = c1 / 12.0 - (c3 / 120.0 - (c5 / 252.0 - c7 / (240.0 * r2)) / r2) / r2
+    tail_f = math.pi * (math.log1p(c / (2.0 * N * (r + N))) + q / (2.0 * N) + em_f)
+    tail_h = 0.5 * math.pi * (c * q + v * v * (r / 2.0 + em_h))
+    dropped = 24.0 * n2 * math.exp(-2.0 * math.pi * N)
+    omitted_h = 5.0 * math.pi / 24.0 * (v / r2 / r2) ** 2
+    return tail_f, tail_h, math.pi / (66.0 * N**10) + dropped, omitted_h + dropped
+
+
 def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
+    """The critical triple from rows closed in k2, for every mu > 0.
+
+    With c = 1/mu and b = sqrt(k1^2 + c), row k1 of f is
+    pi coth(pi k1)/k1 - pi coth(pi b)/b (:func:`_row_terms` at t2 = 0), and
+    row k1 of h is c^2 [pi coth(pi b)/(2 b^3) + pi^2 csch^2(pi b)/(2 b^2)],
+    formed with (c/b)^2 so that nothing overflows.  Row 0 is :func:`_row0`
+    for f, and for h the row formula at k1 = 0 less its k = 0 term 1.  One
+    math.fsum adds row 0, rows +-1.._ROWS and the rest
+    (:func:`_critical_tails`) of each sum; g = f - mu h.
+
+    The stated bound has two parts.  Rounding: each addend takes at most
+    about 30 correctly rounded operations, which exp, expm1, log1p and sqrt
+    pass on at most unchanged at the one-signed arguments they take here,
+    so it is within _ROUND of its magnitude, the one rounding of math.fsum
+    included.  The addends are positive, so their magnitudes add up to the
+    sum; row 0 of f cancels, by at most 5.7 in the closed form (at mu = 1)
+    and 4.75 in the Taylor coefficients, but in so few operations that it
+    stays within _ROUND of itself, and row 0 of h takes 1 off.
+    Truncation, held against the target: the bounds of
+    :func:`_critical_tails`.
+    """
     if not mu > 0.0:
         raise DomainError("critical_sums: accelerated method requires mu > 0")
-    try:
-        h_scale = 2.0 * math.pi**2 * mu ** (-1.5)  # the factor of b1 in h
-    except OverflowError:
-        h_scale = math.inf
-    if h_scale == math.inf:
+    if mu < _MU_MIN:
         raise DomainError("critical_sums: mu underflows double precision")
     tol = cfg.target_abs_tol
-    beta = beta_constant().value
-    sm = math.sqrt(mu)
-    t1 = 2.0 * math.pi / sm  # Bessel argument per unit image radius
-
-    # image radius: ring bound count * K(t1 M) must drop under the target.
-    target = tol / 64.0
-    M = 2
-    while True:
-        arg = t1 * M
-        if arg > 700.0:
-            ring = 0.0
-        else:
-            ring = 9.0 * M * M * math.sqrt(math.pi / (2.0 * arg)) * math.exp(-arg)
-        if ring < target or M * M * math.pi > _MAX_BESSEL_TERMS:
-            break
-        M += 1
-    if M * M * math.pi > _MAX_BESSEL_TERMS:
-        raise ToleranceUnreachableError(
-            f"critical_sums(accelerated): image budget exhausted at mu={mu:g}"
-        )
-    q, c = _shells(2, M + 1)  # the tail bound below starts past radius M + 1
-    r = np.sqrt(q)
-    args = t1 * r
-    keep = args < 740.0
-    k0, k1 = _bessel_k01(args[keep])
-    b0 = _dot(c[keep], k0)
-    b1 = _dot(c[keep], r[keep] * k1)
-    # geometric bound for everything beyond radius M (ratio e^{-t1} per step)
-    argM = t1 * (M + 1)
-    if argM > 700.0:
-        tail_b = 0.0
-    else:
-        tail_b = (
-            12.0
-            * (M + 2) ** 2
-            * math.sqrt(math.pi / (2.0 * argM))
-            * math.exp(-argM)
-            / max(1.0 - math.exp(-t1), 0.5)
-        )
-
-    f = math.pi * math.log(1.0 / mu) + beta + mu - 2.0 * math.pi * b0
-    h = math.pi / mu - 1.0 + h_scale * b1
+    c = 1.0 / mu
+    b = np.sqrt(_ROW_K2 + c)
+    # with e = e^{-2 pi b} and m = e - 1, coth(pi b) = -(1 + e)/m and
+    # csch^2(pi b) = 4 e/m^2, so the row is (c/b)^2 (pi/2)((1 + e)/b - 4 pi e/m)/(-m)
+    x = -2.0 * math.pi * b
+    e, m = np.exp(x), np.expm1(x)
+    s = c / b
+    rows_h = s * s * ((1.0 + e) / b - 4.0 * math.pi * e / m) / m * (-0.5 * math.pi)
+    row0 = _row0(0.0, mu)
+    tail_f, tail_h, trunc_f, trunc_h = _critical_tails(c)
+    # halving row 0 and doubling the sum are exact
+    f = 2.0 * math.fsum([0.5 * row0, *_row_terms(_ROW_K[1:], 0.0, mu).tolist(), tail_f])
+    h = 2.0 * math.fsum([0.5 * (rows_h[0] - 1.0), *rows_h[1:].tolist(), tail_h])
     g = f - mu * h
-    # truncation pieces (held against the target) vs rounding allowances
-    # (reported only; they scale with the values themselves).  Every image
-    # term is positive, so the kernel's relative bound carries over to b0
-    # and b1.
-    trunc_f = 2.0 * math.pi * tail_b
-    trunc_h = h_scale * tail_b * (M + 2)
-    round_f = 2.0 * math.pi * _BESSEL_REL_BOUND * b0 + 4e-16 * (
-        abs(f) + math.pi * abs(math.log(mu)) + beta
-    )
-    round_h = h_scale * _BESSEL_REL_BOUND * b1 + 4e-16 * (
-        abs(h) + math.pi / mu
-    )
+    trunc_f, trunc_h = 2.0 * trunc_f, 2.0 * trunc_h
     if max(trunc_f, trunc_h, trunc_f + mu * trunc_h) > tol:
         raise ToleranceUnreachableError(
             f"critical_sums(accelerated): certified error exceeds {tol:g} at mu={mu:g}"
         )
-    err_f = trunc_f + round_f
-    err_h = trunc_h + round_h
+    # the derivative terms of the f tail cancel; their parts are below pi/(5 N^2)
+    err_f = trunc_f + _ROUND * (f + 2.0 * math.pi / (5.0 * _ROWS**2))
+    err_h = trunc_h + _ROUND * (h + 1.0)
     err_g = err_f + mu * err_h + 4e-16 * abs(g)
     return SumTriple(
-        mu,
-        SpecialValue(f, err_f),
-        SpecialValue(g, err_g),
-        SpecialValue(h, err_h),
-        "accelerated",
+        mu, SpecialValue(f, err_f), SpecialValue(g, err_g), SpecialValue(h, err_h), "accelerated"
     )
 
 
@@ -579,7 +676,10 @@ def critical_sums(
     shell (at mu = -1 the |k| = 1 shell) and is rejected; the curve serves
     the resonant endpoint mu = -1 in closed form.
 
-    method: "direct", "accelerated" (mu > 0 only), or "auto".
+    method: "direct" (shells and their tails), "accelerated" (mu > 0 only:
+    rows closed in k2, :func:`_critical_accelerated`), or "auto", which
+    takes the accelerated route at 0 < mu <= 4 and the direct one
+    elsewhere.
     """
     if not math.isfinite(mu) or mu == 0.0:
         raise DomainError(f"critical_sums: mu must be finite and nonzero, got {mu!r}")

@@ -1,4 +1,4 @@
-"""Special-function kernel: Bessel K0/K1, Lambert W, zeta, Dirichlet beta.
+"""Special-function kernel: Lambert W, zeta, Dirichlet beta.
 
 Every public routine returns a :class:`SpecialValue` carrying the computed
 number together with an a-posteriori absolute error bound, so that callers
@@ -6,8 +6,6 @@ can propagate certified accuracy through lattice sums and root solves.
 
 References for the classical material:
 
-* modified Bessel functions: Abramowitz & Stegun, Handbook of Mathematical
-  Functions, ch. 9; DLMF ch. 10.
 * Lambert W: Corless, Gonnet, Hare, Jeffrey & Knuth, "On the Lambert W
   function", Adv. Comput. Math. 5 (1996) 329-359.
 * Dirichlet beta acceleration: Cohen, Rodriguez Villegas & Zagier,
@@ -16,21 +14,12 @@ References for the classical material:
   (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989),
   ported operation for operation, so the values are the ones
   ``scipy.special.zeta`` returns, without importing scipy.
-* Bessel K0/K1: torsob's own vectorized kernel :func:`_bessel_k01`, with
-  one stated relative error bound, :data:`_BESSEL_REL_BOUND`.  For x >= 1
-  it is the trapezoid rule on the integral form of K_nu after the
-  substitution x (cosh s - 1) = v^2/2, which converges geometrically with
-  a computable bound (Trefethen & Weideman, "The exponentially convergent
-  trapezoidal rule", SIAM Review 56 (2014) 385-458, Thm. 5.1); for x < 1
-  the ascending series A&S 9.6.13 and 9.6.11.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -62,142 +51,6 @@ class SpecialValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-# ---------------------------------------------------------------------------
-# Bessel K0 / K1
-# ---------------------------------------------------------------------------
-
-#: unit roundoff of IEEE double precision
-_UNIT_ROUNDOFF = 2.0**-53
-
-# Trapezoid nodes v_k = k h, k = 0..36 (h = 1/4, v <= 9), held tail first
-# as columns, so that the sequential sums below add the smallest terms
-# first.  v_k^2 is exact; the weights h e^{-v_k^2/2} (half weight at v = 0)
-# are each one correctly scaled exp.
-_TRAP_H = 0.25
-_TRAP_VMAX = 9.0
-_TRAP_K = np.arange(int(_TRAP_VMAX / _TRAP_H), -1, -1)
-_TRAP_V2 = ((_TRAP_K * _TRAP_H) ** 2)[:, None]
-_TRAP_W = np.array([_TRAP_H * math.exp(-0.5 * v2) for v2 in _TRAP_V2[:, 0]])[:, None]
-_TRAP_W[-1] *= 0.5
-
-
-def _bessel_error_parts() -> dict[str, float]:
-    """The three parts of the kernel's relative error bound for x >= 1.
-
-    With x (cosh s - 1) = v^2/2,
-
-        K0(x) = e^{-x} x^{-1/2} int_0^inf F0(v) dv,
-        F0(v) = e^{-v^2/2} (1 + v^2/4x)^{-1/2},   F1 = F0 (1 + v^2/2x)
-
-    for K1.  Both are even and analytic in the strip |Im v| < a for any
-    a < 2 sqrt(x), the branch point 2i sqrt(x).  The strip and truncation
-    parts fall with x, so they are taken at x = 1, the smallest argument of
-    this branch.
-
-    * strip: the trapezoid error on R is at most 2M/(e^{2 pi a/h} - 1)
-      (Trefethen & Weideman, Thm. 5.1), with M the largest integral of |F|
-      along a line in the strip.  At v = u + ib, |b| <= a, |e^{-v^2/2}| <=
-      e^{(a^2 - u^2)/2}, |1 + v^2/4x| >= 1 - a^2/4x and |1 + v^2/2x| <=
-      1 + (u^2 + a^2)/2x, so for both orders
-      M <= sqrt(2 pi) e^{a^2/2} (1 - a^2/4x)^{-1/2} (1 + (1 + a^2)/2x).
-      Divided by int_R F >= sqrt(2 pi)(1 - 1/8x), from (1 + t)^{-1/2} >=
-      1 - t/2.  a = 1.9 at h = 1/4.
-    * truncation: F1 <= e^{-v^2/2} (1 + v^2/2) for x >= 1, so the nodes
-      past v = 9 add at most int_9^inf e^{-v^2/2} (1 + v^2/2) dv
-      <= e^{-81/2} (9/2 + 3/18), over half the same lower bound.
-    * rounding, in units u = 2^-53, an exp counting one ulp (2 u): a term
-      t0 = w/sqrt(1 + y), y = v^2/4x, of the K0 sum S0 carries 5.5 u (1/4x,
-      y, 1 + y, sqrt, the weight's exp and the division) and a term of
-      B = sum t0 y, K1 = e^{-x} (S0 + 2B)/sqrt(x), 8.5 u.
-      The sequential tail-first sums add u times their partial sums, at
-      most rho u with rho = sum (k+1) t_k / sum t_k over the head index k;
-      that mean is largest as x -> inf, where t_k is the weight (times k^2
-      for B).  The prefactor e^{-x}/sqrt(x) and the last product add 5 u,
-      S0 + 2B one more.
-    """
-    h, vmax, x, a = _TRAP_H, _TRAP_VMAX, 1.0, 1.9
-    lower = math.sqrt(2.0 * math.pi) * (1.0 - 1.0 / (8.0 * x))
-    m = (
-        math.sqrt(2.0 * math.pi)
-        * math.exp(0.5 * a * a)
-        / math.sqrt(1.0 - a * a / (4.0 * x))
-        * (1.0 + (1.0 + a * a) / (2.0 * x))
-    )
-    strip = 2.0 * m / math.expm1(2.0 * math.pi * a / h) / lower
-    truncation = math.exp(-0.5 * vmax * vmax) * (0.5 * vmax + 1.5 / vmax) / (0.5 * lower)
-    k = _TRAP_K.astype(float)
-    w = _TRAP_W[:, 0]
-    rho0 = float(np.sum((k + 1.0) * w) / np.sum(w))
-    rho_b = float(np.sum((k + 1.0) * k * k * w) / np.sum(k * k * w))
-    n = max(10.5 + rho0, 14.5 + rho_b)
-    rounding = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return {"strip": strip, "truncation": truncation, "rounding": rounding}
-
-
-#: Relative error bound of :func:`_bessel_k01` (about 2.4e-15), for both
-#: orders and every 0 < x < 740 whose K is a normal float; a subnormal K
-#: (x above about 703) carries at most 5e-324 absolute on top of it.
-_BESSEL_REL_BOUND = sum(_bessel_error_parts().values())
-
-
-def _bessel_k01_series(x: float) -> tuple[float, float]:
-    """(K0(x), K1(x)) for 0 < x < 1 from the ascending series A&S 9.6.13
-    and 9.6.11 with psi(k+1) = H_k - gamma:
-
-        K0 = -(log(x/2) + gamma) I0(x) + sum_k H_k t^k/(k!)^2,
-        K1 = 1/x + (log(x/2) + gamma) I1(x)
-             - (x/4) sum_k (2 H_k + 1/(k+1)) t^k/(k!(k+1)!),   t = x^2/4.
-
-    Eleven terms leave a remainder below 1e-21 relative.  Every K0 term is
-    positive here, and K1 cancels by at most a factor 2.3 (at x = 1), so
-    the rounding error stays far inside :data:`_BESSEL_REL_BOUND`.
-    """
-    t = 0.25 * x * x
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    p = 1.0  # t^k/(k!)^2
-    hk = 0.0  # harmonic number H_k
-    i0 = s0 = i1 = s1 = 0.0
-    for k in range(11):
-        if k:
-            p *= t / (k * k)
-            hk += 1.0 / k
-        q = p / (k + 1)  # t^k/(k!(k+1)!)
-        i0 += p
-        s0 += p * hk
-        i1 += q
-        s1 += q * (2.0 * hk + 1.0 / (k + 1))
-    return s0 - lg * i0, 1.0 / x + lg * (0.5 * x) * i1 - 0.25 * x * s1
-
-
-def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K0(x), K1(x)) for a 1-D array of arguments 0 < x < 740.
-
-    x >= 1 runs the trapezoid rule on 37 nodes (see
-    :func:`_bessel_error_parts`), both orders from one pass; x < 1 runs the
-    series :func:`_bessel_k01_series`.  Each value is within
-    :data:`_BESSEL_REL_BOUND` relative of the true K, plus 5e-324 absolute
-    where K is subnormal.
-    """
-    x = np.asarray(x, dtype=float)
-    small = x < 1.0
-    if small.any():
-        k0, k1 = np.empty_like(x), np.empty_like(x)
-        for i in np.flatnonzero(small):
-            k0[i], k1[i] = _bessel_k01_series(float(x[i]))
-        if not small.all():
-            k0[~small], k1[~small] = _bessel_k01(x[~small])
-        return k0, k1
-    y = _TRAP_V2 * (0.25 / x)
-    t = _TRAP_W / np.sqrt(1.0 + y)
-    s0 = np.cumsum(t, axis=0)[-1]  # cumsum: sequential, tail first
-    t *= y
-    b = np.cumsum(t, axis=0)[-1]
-    # e^{-x} first: where it is subnormal the last product rounds once
-    e = np.exp(-x)
-    sx = np.sqrt(x)
-    return e * (s0 / sx), e * ((s0 + 2.0 * b) / sx)
 
 
 # ---------------------------------------------------------------------------

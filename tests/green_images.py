@@ -7,16 +7,15 @@ For every screening mu > 0,
                          + 2 pi sum_{m in Z^2} K0(|x - 2 pi m|/sqrt(mu)) - mu,
 
 the screened series (``field._synth_rows``) plus the K0 image sum, which
-is summed here one point and one ring at a time with the scalar kernel.
+is summed here one point and one ring at a time with scipy's K0.
 """
 
 import math
 
 import numpy as np
+from scipy.special import k0
 
 from torsob import field
-
-from scalar_oracles import bessel_k
 
 
 def image_sum_ring_loop(x1, x2, mu):
@@ -24,13 +23,13 @@ def image_sum_ring_loop(x1, x2, mu):
     n = max(|m1|, |m2|), stopping at the first ring n >= 1 that contributes
     below 1e-14 of the accumulated value."""
     sq = math.sqrt(mu)
-    total = bessel_k(0, math.hypot(x1, x2) / sq).value
+    total = float(k0(math.hypot(x1, x2) / sq))
     for ring in range(1, 40):
         contrib = 0.0
         for m1 in range(-ring, ring + 1):
             for m2 in range(-ring, ring + 1) if abs(m1) == ring else (-ring, ring):
                 r = math.hypot(x1 - 2.0 * math.pi * m1, x2 - 2.0 * math.pi * m2)
-                contrib += bessel_k(0, r / sq).value
+                contrib += float(k0(r / sq))
         total += contrib
         if contrib < 1e-14 * (1.0 + abs(total)):
             return total

@@ -1,8 +1,7 @@
 """Scalar references that only the tests call: the full-lattice moments
 and the Hardy sum by theta splitting in mpmath, the partial inverse-square
-sum and Bessel K at one point, each on top of a library kernel, and the
-critical triple in mpmath: at |mu| > 1 by its power series, at 0 < mu <= 4
-by Bessel image sums.
+sum on top of a library kernel, and the critical triple in mpmath: at
+|mu| > 1 by its power series, at 0 < mu <= 4 by Bessel image sums.
 """
 
 import functools
@@ -13,15 +12,11 @@ import numpy as np
 
 from torsob.errors import DomainError, ResourceLimitError
 from torsob.lattice import _partial_sums_at, _shells
-from torsob.specfun import _BESSEL_REL_BOUND, SpecialValue, _bessel_k01
+from torsob.specfun import SpecialValue
 
 #: the smallest cut of the row kernel: from there every row tail starts at
 #: a^2 + k2^2 >= _EM_RADIUS^2, where Euler-Maclaurin holds to 2.5e-16
 _EM_RADIUS = 100
-
-# Bessel K underflows to an exact IEEE zero around x ~ 745; beyond ~740 the
-# true value is below 1e-318 and we report exactly 0 with that bound.
-_BESSEL_UNDERFLOW_X = 740.0
 
 
 def epstein_theta_split(d: int, s, dps: int = 30) -> float:
@@ -74,27 +69,6 @@ def partial_inverse_square_sum(N: float) -> float:
         q, c = _shells(2, _EM_RADIUS)
         return math.fsum(c[q <= m] / q[q <= m])
     return float(_partial_sums_at(np.array([float(m)]))[0][0])
-
-
-def bessel_k(order: int, x: float) -> SpecialValue:
-    """Modified Bessel function of the second kind, order 0 or 1, at one
-    strictly positive x: K_order(x) from ``specfun._bessel_k01``.
-
-    For 0 < x < 740 the bound is ``_BESSEL_REL_BOUND`` (about 2.4e-15)
-    relative plus 5e-324 absolute, which covers the subnormal values past x
-    of about 703; K1 overflows to inf below x of about 1e-308.  From x = 740
-    on the true value is below 1e-318, reported as exactly 0.0 with the
-    threshold as its bound.
-    """
-    if order not in (0, 1):
-        raise DomainError(f"bessel_k: order must be 0 or 1, got {order!r}")
-    if not (x > 0.0):
-        raise DomainError(f"bessel_k: argument must be positive, got {x!r}")
-    if x >= _BESSEL_UNDERFLOW_X:
-        # e^-x sqrt(pi/2x) < 1e-318 here: the value is not representable.
-        return SpecialValue(0.0, 1e-317)
-    v = float(_bessel_k01(np.array([x]))[order][0])
-    return SpecialValue(v, _BESSEL_REL_BOUND * abs(v) + 5e-324)
 
 
 @functools.lru_cache(maxsize=None)

@@ -54,11 +54,11 @@ def test_theta_table_frozen():
     # 50-digit (Theta, mu) from the image sums (tests/scalar_oracles.py):
     # (0.26651186311040792965, 0.52054486310305185932) at delta = 2 and
     # (0.35111590832941106922, 0.11840222010268301805) at delta = 4; Theta
-    # is 3.8 and 2.3 ulp off, within its err_bound, and mu 18 and 6 ulp off
+    # is 0.2 and 0.3 ulp off, within its err_bound, and mu 9 and 3 ulp off
     # from the root solve
     assert rows[0].startswith("1.0,0.10132118364233778,-1.0,")
-    assert rows[1].startswith("2.0,0.26651186311040814,0.5205448631030498,")
-    assert rows[3].startswith("4.0,0.3511159083294112,0.11840222010268293,")
+    assert rows[1].startswith("2.0,0.2665118631104079,0.5205448631030508,")
+    assert rows[3].startswith("4.0,0.3511159083294111,0.11840222010268306,")
 
 
 def test_theta_exp_model_at_huge_delta():
@@ -170,12 +170,13 @@ def test_limit_integer_z_is_domain_error():
 
 
 def test_bounds_row_frozen():
-    # P(2) at 40 digits is 0.38183122552141753564
+    # P(2) at 40 digits is 0.38183122552141753564, Theta(2) at 50 digits
+    # 0.26651186311040792965
     r = run_cli("bounds", "--delta-grid", "2:2:1")
     assert r.returncode == 0
     rows = [ln for ln in r.stdout.splitlines() if ln.startswith("2.0,")]
     assert rows[0] == (
-        "2.0,0.26651186311040814,0.3818312255214175,0.2981978110014028"
+        "2.0,0.2665118631104079,0.3818312255214175,0.2981978110014028"
     )
 
 
@@ -391,7 +392,7 @@ def test_theta_rows_solve_each_point_once(monkeypatch):
     assert len(inversions) == 12  # one per row
     sums = _count_calls(monkeypatch, curve, "critical_sums")
     assert cli.main(["theta", "--model", "exact", "--delta-grid", "1:40:10"]) == 0
-    assert len(sums) == 61  # nine root solves; delta = 1 is closed form
+    assert len(sums) == 62  # nine root solves; delta = 1 is closed form
     assert len(set(sums)) == len(sums)
 
 

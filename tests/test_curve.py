@@ -94,7 +94,8 @@ def test_mu_of_delta_round_trip(logd):
     "delta,mu_hex,theta_hex",
     [
         (1.2, "-0x1.fed99bfb1c0f7p+1", "0x1.73d3f047dd143p-3"),  # negative branch
-        (5e4, "0x1.95f5f9d94c792p-20", "0x1.37b1fd0ab5923p+0"),
+        # 50 digits: mu = 1.5123219923693307436e-6, Theta = 1.2175596381326347923
+        (5e4, "0x1.95f5f9d94c792p-20", "0x1.37b1fd0ab5922p+0"),
     ],
 )
 def test_exact_lookup_frozen_bits(delta, mu_hex, theta_hex):

@@ -4,13 +4,11 @@
 scipy/Cephes code and must give the same bits; scipy stays installed as a
 test dependency, so each port is checked against it with ``==`` on seeded
 samples.  The zeta values are also checked against mpmath at 30 digits
-within the error bounds the library reports for them.  The Bessel kernel
-is torsob's own: it is checked against 30-digit references and against
-scipy within its stated bound, not bit for bit.  The import tests run in
-child processes and guard that ``import torsob``, CLI calls with and
-without Bessel evaluations, and ``g0_value`` load no scipy module, that
-the lattice sums of d = 1, 2, 3 load neither scipy nor mpmath, and that
-numpy is the one runtime dependency.
+within the error bounds the library reports for them.  The import tests
+run in child processes and guard that ``import torsob``, every CLI
+subcommand and ``g0_value`` load no scipy module, that the lattice sums
+of d = 1, 2, 3 load neither scipy nor mpmath, and that numpy is the one
+runtime dependency.
 ``lattice._dot`` is the package's one dot product: it is checked against
 np.dot and against exact sums, every other BLAS call is ruled out by a
 source scan, and child processes under different OpenBLAS thread counts
@@ -31,24 +29,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
-from scipy.special import k0 as scipy_k0, k1 as scipy_k1, zeta as scipy_zeta
+from scipy.special import zeta as scipy_zeta
 
 from torsob import cli, curve
 from torsob._optim import brentq, envelope_max
 from torsob.errors import DomainError, ToleranceUnreachableError
 from torsob.lattice import _DOT_BLOCK, _dot
-from torsob.specfun import (
-    _BESSEL_REL_BOUND,
-    _TRAP_V2,
-    _TRAP_W,
-    _bessel_error_parts,
-    _bessel_k01,
-    _hurwitz_zeta,
-    _riemann_zeta,
-    zeta_dirichlet,
-)
-
-from scalar_oracles import bessel_k
+from torsob.specfun import _hurwitz_zeta, _riemann_zeta, zeta_dirichlet
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -399,130 +386,6 @@ def test_hurwitz_zeta_within_reported_bound():
             assert abs(mp.mpf(v) - ref) <= 8e-16 * ref, (p, q)
 
 
-# ------------------------------------------------------------ Bessel K0/K1
-
-#: the absolute floor of the kernel's bound, one subnormal ulp
-_SUBNORMAL_FLOOR = 5e-324
-
-
-def _bessel_points() -> np.ndarray:
-    """2,200 seeded arguments in (0, 740): uniform over the whole range,
-    then dense on the series branch and on both sides of the switch to
-    the trapezoid rule at x = 1, and the switch itself."""
-    rng = random.Random(1012)
-    xs = [rng.uniform(0.0, 740.0) for _ in range(2000)]
-    xs += [rng.uniform(0.0, 1.0) for _ in range(100)]
-    xs += [rng.uniform(0.95, 1.05) for _ in range(96)]
-    xs += [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 739.9]
-    return np.array([x for x in xs if x > 0.0])
-
-
-def _ascending_series(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """(K0(x), K1(x)) from the ascending series A&S 9.6.13 / 9.6.11,
-    summed with enough guard digits (0.87 x) to absorb its cancellation."""
-    with mp.workdps(mp.mp.dps + int(0.87 * x) + 10):
-        t, lg = x * x / 4, mp.log(x / 2) + mp.euler
-        p, hk, i0, s0, i1, s1 = mp.mpf(1), mp.mpf(0), 0, 0, 0, 0
-        k = 0
-        while k <= x or p > mp.mpf(10) ** (-mp.mp.dps):
-            q = p / (k + 1)
-            i0, s0 = i0 + p, s0 + p * hk
-            i1, s1 = i1 + q, s1 + q * (2 * hk + mp.mpf(1) / (k + 1))
-            k += 1
-            p, hk = p * t / (k * k), hk + mp.mpf(1) / k
-        k0, k1 = s0 - lg * i0, 1 / x + lg * x / 2 * i1 - x / 4 * s1
-    return +k0, +k1
-
-
-def _bessel_reference(x: float) -> tuple[mp.mpf, mp.mpf]:
-    """(K0(x), K1(x)) at 30 digits, by three routes that keep each one fast:
-    mpmath's besselk below x = 1; the ascending series with guard digits
-    up to x = 40; past it the asymptotic series e^{-x} sqrt(pi/2x)
-    sum_k a_k(nu)/x^k, whose remainder for real x and nu = 0, 1 is below
-    its first omitted term (DLMF 10.40(ii)), summed until a term drops
-    below 1e-32 (the smallest term is about e^{-2x})."""
-    if x < 1.0:
-        return mp.besselk(0, x), mp.besselk(1, x)
-    x = mp.mpf(x)
-    if x < 40:
-        return _ascending_series(x)
-    out = []
-    for nu in (0, 1):
-        term, total = mp.mpf(1), mp.mpf(1)
-        for k in range(1, 80):
-            term *= (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k * x)
-            total += term
-            if abs(term) < mp.mpf("1e-32"):
-                break
-        assert abs(term) < mp.mpf("1e-32")
-        out.append(mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x) * total)
-    return out[0], out[1]
-
-
-@pytest.fixture(scope="module")
-def bessel_table():
-    xs = _bessel_points()
-    with mp.workdps(30):
-        # the two series routes agree with besselk where they take over
-        for x in (1.0, 7.5, 39.5, 40.0):
-            for nu, ref in enumerate(_bessel_reference(x)):
-                assert abs(ref / mp.besselk(nu, x) - 1) < 1e-28
-        refs = [_bessel_reference(x) for x in xs.tolist()]
-    return xs, refs
-
-
-def test_bessel_kernel_within_stated_bound_of_mpmath(bessel_table):
-    xs, refs = bessel_table
-    k0, k1 = _bessel_k01(xs)
-    assert (xs < 1.0).any() and (xs >= 1.0).any()
-    with mp.workdps(30):
-        for x, got0, got1, (ref0, ref1) in zip(xs.tolist(), k0.tolist(), k1.tolist(), refs):
-            for got, ref in ((got0, ref0), (got1, ref1)):
-                assert abs(mp.mpf(got) - ref) <= _BESSEL_REL_BOUND * ref + _SUBNORMAL_FLOOR, x
-
-
-def test_bessel_kernel_within_stated_bound_of_scipy():
-    # a reference, not a bit-for-bit port: the two differ by at most the
-    # kernel's bound plus scipy's own error, far below it on this range
-    xs = _bessel_points()
-    k0, k1 = _bessel_k01(xs)
-    for got, ref in ((k0, scipy_k0(xs)), (k1, scipy_k1(xs))):
-        assert np.all(np.abs(got - ref) <= _BESSEL_REL_BOUND * ref + 2 * _SUBNORMAL_FLOOR)
-
-
-def test_bessel_kernel_one_call_matches_elementwise():
-    # the series and trapezoid branches mix in one call without crosstalk
-    xs = _bessel_points()[:300]
-    k0, k1 = _bessel_k01(xs)
-    for i, x in enumerate(xs.tolist()):
-        assert (bessel_k(0, x).value, bessel_k(1, x).value) == (k0[i], k1[i])
-
-
-def test_bessel_error_bound_parts():
-    parts = _bessel_error_parts()
-    assert sorted(parts) == ["rounding", "strip", "truncation"]
-    assert sum(parts.values()) == _BESSEL_REL_BOUND
-    # the quadrature is converged: rounding is nearly all of the bound
-    assert parts["strip"] < 1e-18 and parts["truncation"] < 2e-17
-    assert 2e-15 < _BESSEL_REL_BOUND < 3e-15
-    sv = bessel_k(1, 5.0)
-    assert sv.abs_error_bound == _BESSEL_REL_BOUND * sv.value + _SUBNORMAL_FLOOR
-
-
-def test_bessel_rounding_mean_largest_at_infinity():
-    # the rounding part takes the mean head index of the sums' terms at
-    # x -> inf; on the trapezoid branch it is smaller for every x
-    head = np.arange(_TRAP_V2.shape[0])[::-1, None] + 1.0
-    w = _TRAP_W
-    y_inf = _TRAP_V2  # the B-sum weight k^2 w, up to a constant factor
-    at_inf = ((head * w).sum() / w.sum(), (head * w * y_inf).sum() / (w * y_inf).sum())
-    xs = np.geomspace(1.0, 740.0, 60)
-    y = _TRAP_V2 * (0.25 / xs)
-    t0 = w / np.sqrt(1.0 + y)
-    assert np.all((head * t0).sum(axis=0) / t0.sum(axis=0) <= at_inf[0])
-    assert np.all((head * t0 * y).sum(axis=0) / (t0 * y).sum(axis=0) <= at_inf[1])
-
-
 # ---------------------------------------------------------- import hygiene
 
 
@@ -552,59 +415,33 @@ def test_import_torsob_loads_no_scipy():
     [
         ["kdn", "--d", "1", "--n", "3", "--delta-grid", "1.2:5:4"],
         ["limit", "--d", "2", "--n", "8", "--z-grid", "1.5:4:3"],
-    ],
-)
-def test_cli_without_bessel_loads_no_scipy(argv):
-    r = _child(
-        f"""
-        import contextlib, io, runpy, sys
-        sys.argv = ["torsob"] + {argv!r}
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            try:
-                runpy.run_module("torsob.cli", run_name="__main__")
-            except SystemExit as exc:
-                assert not exc.code, exc.code
-        assert out.getvalue().count("\\n") > 3
-        print({_SCIPY_LOADED})
-        """
-    )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
         ["theta", "--model", "exact", "--delta-grid", "1:30:4"],
         ["constants"],
         ["bounds", "--delta-grid", "4:1000:3"],
         ["verify", "--input", "MODES", "--inequality", "loglog"],
-        None,  # g0_value, whose closed-form rows need no kernel
+        None,  # g0_value
     ],
 )
-def test_bessel_calls_load_no_scipy(argv, tmp_path):
-    # the calls that evaluate K0/K1 run torsob's own kernel: the child
-    # counts its calls, and no scipy module is loaded; g0_value makes none
+def test_cli_loads_no_scipy(argv, tmp_path):
     modes = tmp_path / "modes.txt"
     modes.write_text("1 0 3.141592653589793 0\n-1 0 3.141592653589793 0\n")
-    if argv is None:
-        run, expect = "torsob.g0_value((1.1, 0.4))", "not calls"
-    else:
+    if argv is not None:
         argv = [str(modes) if a == "MODES" else a for a in argv]
-        run, expect = f"assert torsob.cli.main({argv!r}) == 0", "calls"
     r = _child(
         f"""
-        import contextlib, io, sys
-        import torsob, torsob.cli
-        from torsob import lattice, specfun
-        calls = []
-        def counted(x, kernel=specfun._bessel_k01):
-            calls.append(len(x))
-            return kernel(x)
-        lattice._bessel_k01 = counted
-        with contextlib.redirect_stdout(io.StringIO()):
-            {run}
-        assert {expect}
+        import contextlib, io, runpy, sys
+        import torsob
+        argv = {argv!r}
+        if argv is None:
+            torsob.g0_value((1.1, 0.4))
+        else:
+            sys.argv = ["torsob"] + argv
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                try:
+                    runpy.run_module("torsob.cli", run_name="__main__")
+                except SystemExit as exc:
+                    assert not exc.code, exc.code
+            assert out.getvalue().count("\\n") > 3
         print({_SCIPY_LOADED})
         """
     )

@@ -140,19 +140,20 @@ def test_image_oracle_matches_series_oracle():
 @pytest.mark.parametrize(
     "grid, oracle",
     [(np.linspace(1.05, 4.0, 60), critical_triple_mp),
-     (np.geomspace(1e-3, 1.0, 40), critical_triple_images_mp)],
-    ids=["1.05-4", "1e-3-1"],
+     (np.geomspace(1e-3, 1.0, 40), critical_triple_images_mp),
+     (np.geomspace(1e-7, 1e-3, 20), critical_triple_images_mp),
+     ([1.0, 2.0], critical_triple_images_mp)],
+    ids=["1.05-4", "1e-3-1", "1e-7-1e-3", "1-and-2"],
 )
-def test_accelerated_g_h_within_their_bounds(grid, oracle):
-    # the images up to radius M + 1, where the tail bound starts; summing
-    # only |k| <= M broke g's bound at 9 and h's at 8 of these 60 mu, and
-    # each at 4 of these 40 (h 7.75 times its bound at mu = 0.49).  f still
-    # breaks its bound at some mu, from the rounding of beta
+def test_accelerated_triple_within_its_bounds(grid, oracle):
+    # the Bessel images broke f's bound at 24 of the 60 mu, 3 of the 40 and
+    # at mu = 1 and 2, from the rounding of beta; the closed rows carry no
+    # beta.  The tiny-mu grid is where the exact curve at delta up to 1e6
+    # calls the route
     for mu in map(float, grid):
         s = critical_sums(mu, "accelerated")
-        _, g, h = oracle(mu)
-        assert abs(mp.mpf(s.g.value) - g) <= s.g.abs_error_bound, mu
-        assert abs(mp.mpf(s.h.value) - h) <= s.h.abs_error_bound, mu
+        for sv, ref in zip((s.f, s.g, s.h), oracle(mu)):
+            assert abs(mp.mpf(sv.value) - ref) <= sv.abs_error_bound, mu
 
 
 def test_critical_small_mu_log_asymptote():

@@ -1,7 +1,7 @@
 """Special-function kernel: frozen-value regressions and inverse properties.
 
 Oracle values come from mpmath at 40 digits (frozen below) and from closed
-forms (DLMF 25.11, 5.4; Abramowitz & Stegun 9.6-9.8).
+forms (DLMF 25.11, 5.4).
 """
 
 import math
@@ -17,8 +17,6 @@ from torsob.specfun import (
     lambert_w,
     zeta_dirichlet,
 )
-
-from scalar_oracles import bessel_k
 
 EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219
@@ -135,35 +133,3 @@ def test_zeta_pair_frozen_three_halves():
 def test_zeta_pole_rejected_without_laurent():
     with pytest.raises(DomainError):
         zeta_dirichlet(1.0)
-
-
-# ---------------------------------------------------------------- Bessel K
-
-
-@pytest.mark.parametrize(
-    "order,x,truth",
-    [
-        (0, 1.0, 0.4210244382407083),    # mpmath besselk(0,1)
-        (0, 0.1, 2.4270690247020166),
-        (1, 1.0, 0.6019072301972346),
-        (1, 2.5, 0.0738908163477471),
-        (0, 20.0, 5.741237815336055e-10),
-    ],
-)
-def test_bessel_k_frozen(order, x, truth):
-    sv = bessel_k(order, x)
-    assert abs(sv.value - truth) <= 4e-15 * max(1.0, abs(truth)) + sv.abs_error_bound
-
-
-def test_bessel_k_recurrence():
-    # K_{0}'(x) = -K_1(x); probe with a central difference
-    x, h = 1.7, 1e-6
-    d = (bessel_k(0, x + h).value - bessel_k(0, x - h).value) / (2 * h)
-    assert abs(d + bessel_k(1, x).value) < 1e-9
-
-
-def test_bessel_k_domain():
-    with pytest.raises(DomainError):
-        bessel_k(0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_k(2, 1.0)
