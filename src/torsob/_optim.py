@@ -25,6 +25,7 @@ from .errors import DomainError, ToleranceUnreachableError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 0.382...
+_GOLDEN_MAX_ITER = 200  # shrink steps of golden_min, past any xtol its callers use
 
 
 def golden_min(
@@ -32,7 +33,6 @@ def golden_min(
     lo: float,
     hi: float,
     xtol: float = 1e-10,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Minimize ``func`` on [lo, hi]; returns (argmin, min).
 
@@ -49,7 +49,7 @@ def golden_min(
     d = a + _INVPHI * h
     fc = func(c)
     fd = func(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if h <= xtol:
             break
         if fc < fd:

@@ -143,7 +143,6 @@ def alpha_constant() -> float:
 # mode splitting
 # ---------------------------------------------------------------------------
 
-_EXACT_ENUM_LIMIT = 1e5  # n*^2 from this on: prune the shell blocks before streaming
 _POINT_CAP = 4e9  # cap on 6 n*^2, the longest cut the pruning seeds the row kernel with
 _SEED_ENDS = 32  # geometric block ends on [n*^2/6, 6 n*^2] the pruning starts from
 #: a block survives while its bracket is within this of the best evaluated
@@ -164,16 +163,14 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
     of the tail), the rows past the cut as pi zeta(3, isqrt(N^2) + 1), and
     S_high summed from its own terms, never as Z2(2) less a partial sum.
     With n*^2 = delta log delta, the minimum runs over every shell radius
-    with N^2 <= m_cap = max(16 n*^2, 100^2), streamed block by block from
-    the kernel's sums at the block starts (:func:`_split_over_shells`); the
-    winning cut is itself a shell.
+    with N^2 <= m_cap = max(16 n*^2, 100^2); the winning cut is a shell.
 
-    While n*^2 < 1e5 every block is streamed.  From there on the blocks
-    are pruned first.  The kernel gives a = S_low and b = S_high at a few
-    dozen geometric block ends on [n*^2/6, 6 n*^2].  A cut m in
-    (m_i, m_j] between two of them has S_low(m) = a_i + X with X >= 0, and
-    each shell q > m_i that adds c/q to S_low takes c/q^2 < (c/q)/m_i from
-    S_high, so S_high(m) >= max(b_i - X/m_i, b_j).  The objective on that bound is
+    The shell blocks, with ends m = k 2^15 capped at m_cap, are pruned
+    first.  The kernel gives a = S_low and b = S_high at a few dozen
+    geometric block ends on [n*^2/6, 6 n*^2].  A cut m in (m_i, m_j]
+    between two of them has S_low(m) = a_i + X with X >= 0, and each shell
+    q > m_i that adds c/q to S_low takes c/q^2 < (c/q)/m_i from S_high, so
+    S_high(m) >= max(b_i - X/m_i, b_j).  The objective on that bound is
     concave in X up to the kink X = m_i (b_i - b_j) and increasing past
     it, so every cut of the gap has
 
@@ -183,8 +180,12 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
     kernel call at their outer ends: with m_i = 0 the bracket is
     delta S_high(m_j), and b_j = 0 bounds S_high up to m_cap.  Every gap
     whose bracket is within 1e-12 of the best evaluated cut is bisected at
-    a block end until it is one block wide; only the surviving blocks are
-    streamed.  Returns (P, N_min).
+    a block end until it is one block wide.  Each surviving block
+    (m_i, m_{i+1}] is streamed once (:func:`_split_block`) from a_i and
+    b_{i+1}: S_low(0) = 0, and S_high(m_cap) takes one kernel call, made
+    only when the top block survives.  At a cut N^2 >= 100^2, P is the
+    kernel's objective there; below it, the streamed one.  Returns
+    (P, N_min).
     """
     if not (1.0 <= delta < math.inf):
         raise DomainError(f"mode_splitting_bound: need finite delta >= 1, got {delta!r}")
@@ -195,14 +196,13 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
             f"to 6 n*^2 = {6.0 * n_star2:.3g}, beyond its budget"
         )
     m_cap = int(max(16.0 * n_star2, 1e4))
-    if n_star2 < _EXACT_ENUM_LIMIT:
-        return _split_over_shells(delta, 0, m_cap)
     # block end k is min(k B, m_cap); ends 0 and m_cap are not evaluated
     seeds = np.geomspace(n_star2 / 6.0, 6.0 * n_star2, _SEED_ENDS) // _SHELL_BLOCK
     seeds = np.unique(seeds[seeds > 0]).astype(np.int64)
     k = np.concatenate(([0], seeds, [-(-m_cap // _SHELL_BLOCK)]))
     m = np.minimum(k * _SHELL_BLOCK, m_cap)
-    a, b = (np.concatenate(([0.0], s, [0.0])) for s in _partial_sums_at(m[1:-1]))
+    sums = _partial_sums_at(m[1:-1]) if len(seeds) else ([], [])  # none while 6 n*^2 < 2^15
+    a, b = (np.concatenate(([0.0], s, [0.0])) for s in sums)
     f = np.concatenate(([math.inf], _split_objective(delta, a[1:-1], b[1:-1]), [math.inf]))
     while True:
         kink = a[:-1] + m[:-1] * (b[:-1] - b[1:])
@@ -220,16 +220,16 @@ def mode_splitting_bound(delta: float) -> tuple[float, float]:
             for pair in ((k, k_new), (m, m_new), (a, a_new), (b, b_new),
                          (f, _split_objective(delta, a_new, b_new)))
         )
-    # stream each run of adjacent surviving blocks; ties go to the lower run
-    gaps = np.flatnonzero(live)
-    first = np.concatenate(([True], np.diff(gaps) > 1))
-    last = np.concatenate((first[1:], [True]))
+    if live[-1]:  # the top block needs S_high(m_cap), which the pruning took as 0
+        b[-1] = _partial_sums_at(m[-1:])[1][0]
     best, cut = math.inf, 0.0
-    for lo, hi in zip(m[gaps[first]], m[gaps[last] + 1]):
-        P, N = _split_over_shells(delta, int(lo), int(hi))
+    for i in np.flatnonzero(live):  # ascending, so that ties go to the lower block
+        P, q = _split_block(delta, int(m[i]), int(m[i + 1]), a[i], b[i + 1])
         if P < best:
-            best, cut = P, N
-    return best, cut
+            best, cut = P, q
+    if cut >= 1e4:
+        best = float(_split_objective(delta, *_partial_sums_at(np.array([cut])))[0])
+    return best, math.sqrt(cut)
 
 
 def _split_objective(delta: float, S2: np.ndarray, S_high: np.ndarray) -> np.ndarray:
@@ -238,41 +238,24 @@ def _split_objective(delta: float, S2: np.ndarray, S_high: np.ndarray) -> np.nda
     return (np.sqrt(S2) + math.sqrt(delta) * np.sqrt(S_high)) ** 2 / _FOUR_PI_SQ
 
 
-def _split_over_shells(delta: float, m_lo: int, m_cap: int) -> tuple[float, float]:
-    """(P, N) of the split objective minimized over every shell q in
-    (m_lo, m_cap] (m_lo = 0 or a multiple of _SHELL_BLOCK of at least
-    100^2, m_cap >= 100^2); (inf, 0) if there is none.
+def _split_block(delta: float, lo: int, hi: int, s_low: float, s_high: float) -> tuple[float, float]:
+    """(P, q) at the first minimum of the split objective over the shells q
+    in (lo, hi], one block of :func:`~torsob.lattice._shell_block`, given
+    S_low(lo) = s_low and S_high(hi) = s_high; (inf, 0) if there is none.
 
-    One descending pass streams the blocks of
-    :func:`~torsob.lattice._shell_block` over (m_lo, m_cap] and keeps no
-    table.  One call of the row kernel
-    :func:`~torsob.lattice._partial_sums_at` on the block starts (from
-    m_lo on, where S_low is 0 for m_lo = 0) and on m_cap gives S_low below
-    each block and the |k|^-4 tail above the top, so neither sum is taken
-    as a difference.  Within a block, S_low runs up from its start and
-    S_high down from the block above, smallest term first, each one
-    np.cumsum with its carry prepended; the first minimum is kept.
+    S_low runs up from lo and S_high down from hi, smallest term first,
+    each one np.cumsum with its carry prepended, so neither sum is taken
+    as a difference.
     """
-    starts = range(m_lo, m_cap, _SHELL_BLOCK)
-    cuts = [*starts[1:], m_cap]
-    if m_lo:
-        cuts.insert(0, m_lo)
-    S2_at, S_high_at = _partial_sums_at(np.array(cuts, dtype=np.float64))
-    lows = [*S2_at[:-1]] if m_lo else [0.0, *S2_at[:-1]]  # S_low below each block
-    best, cut, tail = math.inf, 0.0, float(S_high_at[-1])  # tail: |k|^-4 above the block
-    for lo, s2 in zip(starts[::-1], lows[::-1]):
-        q, c = _shell_block(2, lo, min(lo + _SHELL_BLOCK, m_cap))
-        if not len(q):
-            continue
-        t4 = c / (q * q)
-        S2 = np.cumsum(np.concatenate(([s2], c / q)))[1:]
-        above = np.cumsum(np.concatenate(([tail], t4[:0:-1])))[::-1]
-        tail = float(above[0] + t4[0])
-        vals = _split_objective(delta, S2, above)
-        i = int(np.argmin(vals))
-        if vals[i] <= best:  # ties go to the lower block
-            best, cut = float(vals[i]), float(q[i])
-    return best, math.sqrt(cut)
+    q, c = _shell_block(2, lo, hi)
+    if not len(q):
+        return math.inf, 0.0
+    t4 = c / (q * q)
+    S2 = np.cumsum(np.concatenate(([s_low], c / q)))[1:]
+    above = np.cumsum(np.concatenate(([s_high], t4[:0:-1])))[::-1]
+    vals = _split_objective(delta, S2, above)
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(q[i])
 
 
 def first_method_bound(delta: float) -> float:

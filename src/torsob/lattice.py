@@ -567,6 +567,9 @@ _ROW_K2 = _ROW_K * _ROW_K
 _ROUND = 32 * 2.0**-53  # rounding of one addend of the accelerated route, relative
 #: the smallest mu of the accelerated route, 2.3e-205: 2 pi^2 mu^{-3/2} is finite
 _MU_MIN = (2.0 * math.pi**2 / sys.float_info.max) ** (2.0 / 3.0)
+#: N(x)/x^6 = sum_{j=2..24} 4^j (j - 1)/((j + 1)(2j + 1)!) y^(j-2) in y = x^2,
+#: highest power first; for x <= pi the omitted terms are below 1e-27 of it
+_H0_SERIES = tuple(4.0**j * (j - 1) / ((j + 1) * math.factorial(2 * j + 1)) for j in range(24, 1, -1))
 
 
 def _critical_tails(c: float) -> tuple[float, float, float, float]:
@@ -618,8 +621,11 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     pi coth(pi k1)/k1 - pi coth(pi b)/b (:func:`_row_terms` at t2 = 0), and
     row k1 of h is c^2 [pi coth(pi b)/(2 b^3) + pi^2 csch^2(pi b)/(2 b^2)],
     formed with (c/b)^2 so that nothing overflows.  Row 0 is :func:`_row0`
-    for f, and for h the row formula at k1 = 0 less its k = 0 term 1.  One
-    math.fsum adds row 0, rows +-1.._ROWS and the rest
+    for f.  For h it is the row formula at k1 = 0 less its k = 0 term 1;
+    past mu = 1 that difference cancels, and with x = pi/sqrt(mu) it is
+    N(x)/(2 sinh^2 x) instead, N = x sinh x cosh x + x^2 - 2 sinh^2 x
+    summed as its series (_H0_SERIES, by Horner), whose x^2 terms cancel
+    exactly.  One math.fsum adds row 0, rows +-1.._ROWS and the rest
     (:func:`_critical_tails`) of each sum; g = f - mu h.
 
     The stated bound has two parts.  Rounding: each addend takes at most
@@ -629,7 +635,7 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     included.  The addends are positive, so their magnitudes add up to the
     sum; row 0 of f cancels, by at most 5.7 in the closed form (at mu = 1)
     and 4.75 in the Taylor coefficients, but in so few operations that it
-    stays within _ROUND of itself, and row 0 of h takes 1 off.
+    stays within _ROUND of itself, and row 0 of h takes 1 off at mu <= 1.
     Truncation, held against the target: the bounds of
     :func:`_critical_tails`.
     """
@@ -650,7 +656,12 @@ def _critical_accelerated(mu: float, cfg: PrecisionConfig) -> SumTriple:
     tail_f, tail_h, trunc_f, trunc_h = _critical_tails(c)
     # halving row 0 and doubling the sum are exact
     f = 2.0 * math.fsum([0.5 * row0, *_row_terms(_ROW_K[1:], 0.0, mu).tolist(), tail_f])
-    h = 2.0 * math.fsum([0.5 * (rows_h[0] - 1.0), *rows_h[1:].tolist(), tail_h])
+    if mu > 1.0:
+        x = math.pi / math.sqrt(mu)
+        h0 = float(np.polyval(_H0_SERIES, x * x)) * x**6 / (2.0 * math.sinh(x) ** 2)
+    else:
+        h0 = rows_h[0] - 1.0
+    h = 2.0 * math.fsum([0.5 * h0, *rows_h[1:].tolist(), tail_h])
     g = f - mu * h
     trunc_f, trunc_h = 2.0 * trunc_f, 2.0 * trunc_h
     if max(trunc_f, trunc_h, trunc_f + mu * trunc_h) > tol:

@@ -271,9 +271,13 @@ def _hurwitz_zeta(x: float, q: float) -> float:
     return s
 
 
-def _cvz_alternating(s: float, n: int = 48) -> float:
+_CVZ_TERMS = 48  # terms of _cvz_alternating; 5.83^-48 is far below an ulp
+
+
+def _cvz_alternating(s: float) -> float:
     # Cohen-Rodriguez Villegas-Zagier acceleration of
     # sum_{k>=0} (-1)^k (2k+1)^(-s); converges ~ 5.83^-n for all s > 0.
+    n = _CVZ_TERMS
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0

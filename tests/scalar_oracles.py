@@ -1,7 +1,9 @@
 """Scalar references that only the tests call: the full-lattice moments
 and the Hardy sum by theta splitting in mpmath, the partial inverse-square
-sum on top of a library kernel, and the critical triple in mpmath: at
-|mu| > 1 by its power series, at 0 < mu <= 4 by Bessel image sums.
+sum on top of a library kernel, the critical triple in mpmath (at
+|mu| > 1 by its power series, at 0 < mu <= 4 by Bessel image sums), and
+the split bound's two cut sums and objective at 40 digits by polygamma
+rows.
 """
 
 import functools
@@ -173,3 +175,50 @@ def critical_triple_images_mp(mu: float):
         f = mp.pi * mp.log(1 / m) + beta + m - 2 * mp.pi * b0
         h = mp.pi / m - 1 + 2 * mp.pi**2 * m ** mp.mpf(-1.5) * b1
         return f, f - m * h, h
+
+
+def s_high_40_digits(m: int) -> mp.mpf:
+    """sum of |k|^-4 over |k|^2 > m at 40 digits, without the row kernel.
+
+    Row k1 = +-a (a >= 1) past K = isqrt(m - a^2) is
+    T4 = -Im psi(z)/(2a^3) - Re psi'(z)/(2a^2) at z = K + 1 - ia (partial
+    fractions of 1/(k^2 + a^2)^2), row 0 past A = isqrt(m) is zeta(4, A + 1),
+    and the rows |k1| > A add up to pi zeta(3, A + 1) plus their
+    e^{-2 pi a} parts.
+    """
+    with mp.workdps(40):
+        A = math.isqrt(m)
+        rows = mp.mpf(0)
+        for a in range(1, A + 1):
+            z = mp.mpc(math.isqrt(m - a * a) + 1, -a)
+            rows -= mp.im(mp.psi(0, z)) / (2 * a**3) + mp.re(mp.psi(1, z)) / (2 * a**2)
+        total = 2 * mp.zeta(4, A + 1) + 4 * rows + mp.pi * mp.zeta(3, A + 1)
+        for a in range(A + 1, 12):
+            total += mp.pi * (mp.coth(mp.pi * a) - 1) / a**3 + (mp.pi / (a * mp.sinh(mp.pi * a))) ** 2
+        return total
+
+
+def s_low_40_digits(m: int) -> mp.mpf:
+    """sum of |k|^-2 over 0 < |k|^2 <= m at 40 digits, without the row kernel.
+
+    Row k1 = +-a (a >= 1) up to K = isqrt(m - a^2) is the full row
+    pi coth(pi a)/a less twice its tail Im psi(K + 1 + ia)/a (partial
+    fractions of 1/(k^2 + a^2)); row 0 up to A = isqrt(m) is
+    2 (zeta(2) - zeta(2, A + 1)).
+    """
+    with mp.workdps(40):
+        A = math.isqrt(m)
+        rows = mp.mpf(0)
+        for a in range(1, A + 1):
+            z = mp.mpc(math.isqrt(m - a * a) + 1, a)
+            rows += (mp.pi * mp.coth(mp.pi * a) - 2 * mp.im(mp.psi(0, z))) / a
+        return 2 * (mp.zeta(2) - mp.zeta(2, A + 1)) + 2 * rows
+
+
+def split_objective_40_digits(delta: float, m: int) -> mp.mpf:
+    """The split objective (sqrt(S_low) + sqrt(delta S_high))^2/(4 pi^2) at
+    the cut |k|^2 <= m, from :func:`s_low_40_digits` and
+    :func:`s_high_40_digits`, at 40 digits."""
+    with mp.workdps(40):
+        s_low, s_high = s_low_40_digits(m), s_high_40_digits(m)
+        return (mp.sqrt(s_low) + mp.sqrt(mp.mpf(delta) * s_high)) ** 2 / (4 * mp.pi**2)

@@ -32,7 +32,12 @@ from torsob.lattice import (
 )
 from torsob.specfun import lambert_w, zeta_dirichlet
 
-from scalar_oracles import partial_inverse_square_sum
+from scalar_oracles import (
+    partial_inverse_square_sum,
+    s_high_40_digits,
+    s_low_40_digits,
+    split_objective_40_digits,
+)
 
 
 def epstein(p: float) -> float:
@@ -150,17 +155,18 @@ def brute_split(delta: float) -> tuple[float, float]:
     return best / (4.0 * math.pi**2), best_n
 
 
-@pytest.mark.parametrize("delta", [2.0, 6.0, 10.0, 300.0, 2e3])
+@pytest.mark.parametrize("delta", [2.0, 6.0, 10.0, 300.0, 349.6816826855493, 2e3])
 def test_mode_splitting_matches_brute(delta):
     # thousands of shells at the larger deltas: the cumulative sums over the
-    # shell table against a per-shell loop
+    # shell table against a per-shell loop.  At 349.68..., m_cap = 2^15 + 1,
+    # and the top block (2^15, m_cap] survives the pruning with no shell in it
     P, N = mode_splitting_bound(delta)
     Pb, Nb = brute_split(delta)
     assert abs(P - Pb) < 1e-10
     assert abs(N - Nb) < 1e-12
 
 
-@pytest.mark.parametrize("delta", [2.0, 10.0, 300.0, 1e3, 5e3, 1e4, 1.07e4])
+@pytest.mark.parametrize("delta", [2.0, 10.0, 300.0, 1e3, 5e3, 1e4, 1.07e4, 1.08e4])
 def test_mode_splitting_value_matches_fsum_at_cut(delta):
     # at the returned cut, P from S_low correctly rounded over the lattice
     # and S_high at 40 digits; the |k|^-4 tail is only ~pi/N^2, so taken as
@@ -174,14 +180,14 @@ def test_mode_splitting_value_matches_fsum_at_cut(delta):
     shells, counts = np.unique(q[(q > 0) & (q <= m)], return_counts=True)
     shells = shells.astype(np.float64)
     low2 = math.fsum(counts / shells)
-    high4 = float(_s_high_40_digits(m))
+    high4 = float(s_high_40_digits(m))
     ref = (math.sqrt(low2) + math.sqrt(delta * high4)) ** 2 / (4.0 * math.pi**2)
-    assert abs(P - ref) < 1e-14 * ref
+    assert abs(P - ref) < 1e-15 * ref
 
 
 def test_split_bound_enumerates_each_shell_once(monkeypatch):
-    # below the switch the shells are streamed once, in disjoint blocks
-    # that cover (0, m_cap] exactly; the cut sums come from the row kernel
+    # the surviving blocks are streamed between the pruning's block ends,
+    # each one block wide, disjoint and streamed once
     seen = []
 
     def block(d, lo, hi):
@@ -189,33 +195,14 @@ def test_split_bound_enumerates_each_shell_once(monkeypatch):
         return lattice._shell_block(d, lo, hi)
 
     monkeypatch.setattr(bounds, "_shell_block", block)
-    mode_splitting_bound(1e4)
-    m_cap = int(16.0 * 1e4 * math.log(1e4))
-    seen.sort()
-    assert seen[0][0] == 0 and seen[-1][1] == m_cap
-    assert all(lo < hi for lo, hi in seen)
-    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-
-
-def _s_high_40_digits(m: int) -> mp.mpf:
-    """sum of |k|^-4 over |k|^2 > m at 40 digits, without the row kernel.
-
-    Row k1 = +-a (a >= 1) past K = isqrt(m - a^2) is
-    T4 = -Im psi(z)/(2a^3) - Re psi'(z)/(2a^2) at z = K + 1 - ia (partial
-    fractions of 1/(k^2 + a^2)^2), row 0 past A = isqrt(m) is zeta(4, A + 1),
-    and the rows |k1| > A add up to pi zeta(3, A + 1) plus their
-    e^{-2 pi a} parts.
-    """
-    with mp.workdps(40):
-        A = math.isqrt(m)
-        rows = mp.mpf(0)
-        for a in range(1, A + 1):
-            z = mp.mpc(math.isqrt(m - a * a) + 1, -a)
-            rows -= mp.im(mp.psi(0, z)) / (2 * a**3) + mp.re(mp.psi(1, z)) / (2 * a**2)
-        total = 2 * mp.zeta(4, A + 1) + 4 * rows + mp.pi * mp.zeta(3, A + 1)
-        for a in range(A + 1, 12):
-            total += mp.pi * (mp.coth(mp.pi * a) - 1) / a**3 + (mp.pi / (a * mp.sinh(mp.pi * a))) ** 2
-        return total
+    for delta in (2.0, 1e4, 1e6):
+        seen.clear()
+        mode_splitting_bound(delta)
+        seen.sort()
+        assert seen
+        assert all(lo % lattice._SHELL_BLOCK == 0 for lo, _ in seen)
+        assert all(0 < hi - lo <= lattice._SHELL_BLOCK for lo, hi in seen)
+        assert all(a[1] <= b[0] for a, b in zip(seen, seen[1:]))
 
 
 def _s_low_direct(m: int) -> float:
@@ -240,7 +227,14 @@ def test_s_high_reference_against_catalan():
                 if 0 < a * a + b * b <= m
             )
             truth = 4 * mp.zeta(2) * mp.catalan - inside
-            assert abs(_s_high_40_digits(m) - truth) < mp.mpf(10) ** -30 * truth
+            assert abs(s_high_40_digits(m) - truth) < mp.mpf(10) ** -30 * truth
+            low = mp.fsum(
+                mp.mpf(1) / (a * a + b * b)
+                for a in range(-K, K + 1)
+                for b in range(-K, K + 1)
+                if 0 < a * a + b * b <= m
+            )
+            assert abs(s_low_40_digits(m) - low) < mp.mpf(10) ** -35 * low
 
 
 @pytest.mark.parametrize(
@@ -255,7 +249,7 @@ def test_mode_splitting_above_switch_matches_40_digit_sums(delta, cut):
     m = round(N * N)
     assert m == cut
     s_low = _s_low_direct(m)
-    s_high = float(_s_high_40_digits(m))
+    s_high = float(s_high_40_digits(m))
     S2, S_high = _partial_sums_at(np.array([float(m)]))
     assert abs(S2[0] - s_low) < 1e-15 * s_low
     assert abs(S_high[0] - s_high) < 1e-15 * s_high
@@ -273,8 +267,8 @@ def test_row_kernel_refuses_cuts_outside_its_domain(m):
 
 
 def test_row_kernel_matches_shell_sums_at_every_shell():
-    # every shell from the kernel's smallest cut m = 1e4 up to m = 2e5,
-    # across the enumeration switch: S2 against one running sum over the
+    # every shell from the kernel's smallest cut m = 1e4 up to m = 2e5:
+    # S2 against one running sum over the
     # whole shell table, S_high against the shells above each cut summed
     # smallest first plus the 40-digit tail past the last shell.  Without the f^(5) Euler-Maclaurin term S_high is
     # off by 9e-14 near m = 1e4
@@ -316,12 +310,33 @@ def _m_cap(delta: float) -> int:
     return int(max(16.0 * delta * math.log(max(delta, 2.0)), 1e4))
 
 
-@pytest.mark.parametrize("delta", [1.08e4, 2e4])
-def test_mode_splitting_above_switch_matches_exhaustive_stream(delta):
+def exhaustive_stream(delta: float) -> tuple[float, float]:
+    """(P, N) over every shell of (0, m_cap], one block at a time, each
+    block from the row kernel's sums at its two ends (S_low(0) = 0); the
+    first minimum wins."""
+    m_cap = _m_cap(delta)
+    ends = [*range(0, m_cap, lattice._SHELL_BLOCK), m_cap]
+    a, b = _partial_sums_at(np.array(ends[1:], dtype=np.float64))
+    a = np.concatenate(([0.0], a))
+    best, cut = math.inf, 0.0
+    for i in range(len(ends) - 1):
+        q, c = lattice._shell_block(2, ends[i], ends[i + 1])
+        t4 = c / (q * q)
+        S2 = a[i] + np.cumsum(c / q)
+        above = b[i] + np.append(np.cumsum(t4[:0:-1])[::-1], 0.0)
+        vals = (np.sqrt(S2) + np.sqrt(delta * above)) ** 2 / (4.0 * math.pi**2)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, cut = float(vals[j]), float(q[j])
+    return best, math.sqrt(cut)
+
+
+@pytest.mark.parametrize("delta", [1e3, 5e3, 1e4, 1.07e4, 1.08e4, 2e4])
+def test_mode_splitting_matches_exhaustive_stream(delta):
     # the pruned search against a stream of every block of (0, m_cap]; the
     # best of the old 700-point grid was 136777 at 1.08e4
     P, N = mode_splitting_bound(delta)
-    Pe, Ne = bounds._split_over_shells(delta, 0, _m_cap(delta))
+    Pe, Ne = exhaustive_stream(delta)
     assert N == Ne
     assert abs(P - Pe) < 1e-14 * Pe
 
@@ -339,7 +354,7 @@ def test_split_bracket_bounds_every_cut_of_its_gap(k0):
     kink = a[:-1] + m[:-1] * (b[:-1] - b[1:])
     bracket = np.minimum(F[:-1], (np.sqrt(kink) + np.sqrt(delta * b[1:])) ** 2)
     for i in range(20):
-        P, _ = bounds._split_over_shells(delta, int(m[i]), int(m[i + 1]))
+        P, _ = bounds._split_block(delta, int(m[i]), int(m[i + 1]), a[i], b[i + 1])
         assert 4.0 * math.pi**2 * P >= bracket[i] * (1.0 - 1e-14)
 
 
@@ -395,9 +410,6 @@ def test_mode_splitting_frozen():
     assert abs(N6 - math.sqrt(20.0)) < 1e-12
 
 
-# the 40-digit objective at each cut rounds to 0.38183122552141753564,
-# 0.54738961561217137412, 0.96579017003582382286, 1.1056136993408345869,
-# 1.1653001654062650242 and 1.1711115567076264694
 @pytest.mark.parametrize(
     "delta, P_hex, N_hex",
     [
@@ -405,20 +417,22 @@ def test_mode_splitting_frozen():
         for row in (
             (2.0, "0x1.86fec3c8d308fp-2", "0x1.6a09e667f3bcdp+0"),
             (10.0, "0x1.184373a272d5cp-1", "0x1.ad5336963eefcp+2"),
-            (1e3, "0x1.ee7c0c96344bdp-1", "0x1.90bd43dd0834ap+6"),
-            (5e3, "0x1.1b097fd8adae3p+0", "0x1.e5eaeda23bdd6p+7"),
-            (1e4, "0x1.2a511c94717c3p+0", "0x1.6277f73e4474dp+8"),
-            (1.07e4, "0x1.2bcdf78c06e39p+0", "0x1.6fb5300c37014p+8"),
+            (1e3, "0x1.ee7c0c96344c2p-1", "0x1.90bd43dd0834ap+6"),
+            (5e3, "0x1.1b097fd8adaf9p+0", "0x1.e5eaeda23bdd6p+7"),
+            (1e4, "0x1.2a511c94717c1p+0", "0x1.6277f73e4474dp+8"),
+            (1.07e4, "0x1.2bcdf78c06e35p+0", "0x1.6fb5300c37014p+8"),
         )
     ],
 )
 def test_mode_splitting_below_switch_frozen_bits(delta, P_hex, N_hex):
-    # every cut below the switch is a shell (1.07e4 is the last delta
-    # before it); the cuts are those of one cumsum over the whole shell
-    # table, and P is within 5e-15 of the 40-digit objective there
+    # deltas with n*^2 = delta log delta below 1e5 (1.07e4 is the last
+    # before it); every cut is a shell, and P is within 4e-16 of the
+    # 40-digit objective there
     assert delta * math.log(delta) < 1e5
     P, N = mode_splitting_bound(delta)
     assert (P.hex(), N.hex()) == (P_hex, N_hex)
+    ref = split_objective_40_digits(delta, round(N * N))
+    assert abs(P - ref) <= 4e-16 * ref
 
 
 def test_split_bound_below_switch_peak_memory(monkeypatch):
@@ -436,9 +450,8 @@ def test_split_bound_below_switch_peak_memory(monkeypatch):
 
 
 def test_mode_splitting_monotone_across_enumeration_switch():
-    # n*^2 = delta log delta crosses the exact-enumeration limit 1e5 between
-    # 1.07e4 and 1.08e4; the pruned minimum above it may not undercut the
-    # exhaustive one below it
+    # n*^2 = delta log delta crosses 1e5 between 1.07e4 and 1.08e4; P is
+    # nondecreasing in delta across it
     deltas = [9e3, 1e4, 1.07e4, 1.08e4, 1.2e4]
     assert deltas[2] * math.log(deltas[2]) < 1e5 < deltas[3] * math.log(deltas[3])
     Ps = [mode_splitting_bound(d)[0] for d in deltas]

@@ -156,6 +156,15 @@ def test_accelerated_triple_within_its_bounds(grid, oracle):
             assert abs(mp.mpf(sv.value) - ref) <= sv.abs_error_bound, mu
 
 
+def test_accelerated_h_row0_does_not_cancel_past_mu_one():
+    # past mu = 1 row 0 of h less its k = 0 term 1 cancelled, and h was up
+    # to 1.85e-15 relative off on this grid; its series keeps it to an ulp
+    for mu in np.linspace(1.05, 4.0, 60):
+        h = critical_sums(float(mu), "accelerated").h.value
+        ref = critical_triple_mp(float(mu))[2]
+        assert abs(mp.mpf(h) - ref) <= 6e-16 * ref, mu
+
+
 def test_critical_small_mu_log_asymptote():
     # f(mu) = pi log(1/mu) + beta + mu + O(mu^2 log) as mu -> 0
     mu = 0.01
