@@ -9,7 +9,10 @@ This module owns every infinite lattice sum in the package:
   coordinate with an Euler-Maclaurin tail);
 * the general algebraic triple for exponent pairs (d, n) with 2n - d > 0:
   f = sum' 1/(1+mu|k|^{2n}),  g = sum' 1/(1+mu|k|^{2n})^2,
-  h = (f - g)/mu = sum' |k|^{2n}/(1+mu|k|^{2n})^2;
+  h = (f - g)/mu = sum' |k|^{2n}/(1+mu|k|^{2n})^2, for d <= 2 at
+  z = mu^{-1/2n} >= 1 from rows closed in the last coordinate over the n
+  roots of 1 + mu w^n (:func:`_row_sums`), and otherwise by direct
+  summation with expansion tails;
 * the Hardy-factorized sum  sum' |k|^{-2(1+eps)} = 4 zeta(1+eps) beta(1+eps)
   over Z^2;
 * partial sums, rigorous tail brackets, and sum-of-two-squares counting.
@@ -23,7 +26,8 @@ d = 3), the tail moments taken as full-lattice moment minus partial sum,
 clipped into their integral bracket (:func:`_clipped_moment`), the
 screened tail (:func:`_screened_tail`), and the rows of Z^2 closed in the
 last coordinate (:func:`_row_terms`, :func:`_row0`), which the extremal
-field of :mod:`torsob.field` shares.  Every dot product (BLAS call) of
+field of :mod:`torsob.field` shares; the (d, n) rows close the same way
+at complex arguments.  Every dot product (BLAS call) of
 the package goes through :func:`_dot`, whose summation order does not
 depend on the BLAS thread count.
 
@@ -44,7 +48,10 @@ s = 1 - eps).  With x = mu q^n large on the tail, it expands
 1/(1 + x) = sum_m (-1)^{m+1} x^{-m} into moments and bounds the omitted
 orders by the first of them, times a geometric factor, for either sign of
 mu; :func:`_shell_sums` sums the same terms over the shells up to the
-radius.
+radius.  The row routes state their rounding relative to the sum of their
+addends' magnitudes, and their truncation (the first omitted order of a
+Hurwitz or Euler-Maclaurin series and the dropped e^{-2 pi a} parts of
+the rows) is held against the target.
 """
 
 from __future__ import annotations
@@ -713,6 +720,11 @@ def critical_sums(
 
 _BASE_RADIUS = {1: 64, 2: 48, 3: 32}
 _BLOCK = 1 << 14  # elements in one row block of the batched shell pass
+_ROW_SWITCH = 1.0  # z = mu^{-1/2n} from which the d <= 2 triples are summed by rows
+_ROW_CANCEL = 4.0  # the most h's root addends may exceed mu h by, in magnitude
+_ROW_ROUND = 16 * 2.0**-53  # rounding of one row addend, relative to its magnitude
+_ROW_PAST = 6  # rows closed past ceil(2^{2/n} z), for their e^{-2 pi a} parts
+_ROW_BLOCK = _BLOCK // 8  # complex elements in one block of the rows, whose temporaries are many
 
 
 def general_sums(
@@ -720,11 +732,13 @@ def general_sums(
 ) -> SumTriple:
     """The algebraic triple for exponents (d, n) at screening mu > 0.
 
-    f and g are summed directly with expansion tails controlled by
-    closed-form integral brackets; h is recovered from the exact identity
-    h = (f - g)/mu, with the difference accumulated term-by-term (never
-    formed by subtraction) so that its error stays relative to h itself,
-    even when mu is many orders of magnitude below 1.
+    With z = mu^{-1/2n}, d <= 2 at z >= _ROW_SWITCH takes rows closed in
+    the last coordinate (:func:`_row_sums`, method "accelerated").  The
+    rest is summed over shells with expansion tails (method "direct"): f
+    and g directly, and h from the exact identity h = (f - g)/mu, with the
+    difference accumulated term by term (never formed by subtraction) so
+    that its error stays relative to h itself, even when mu is many orders
+    of magnitude below 1.
     """
     return _general_sums_batch(case, [mu], cfg)[0]
 
@@ -784,11 +798,14 @@ def _screened_tail(d, n, s, mu, T, stop, tails, f=0.0, g=0.0, fg=0.0):
         cf, cg, cfg = cf + ctrl_m, cg + (m - 1.0) * ctrl_m, cfg + m * ctrl_m
         nf, ng, nfg = nf + noise_m, ng + (m - 1.0) * noise_m, nfg + m * noise_m
         if m >= 8:
-            # Fires for n = 1 at small mu, where x on the tail starts near
-            # its floor (64 at T = 8z, 9 for the mixed norm) and the terms
-            # fall like (mu T^2)^-m, times T in d = 1: it ends 312 of the 408
-            # tails of remainder_constant(CaseDN(1, 1)) and sets the (1, 1)
-            # radius at small mu (1,922 where 1,201 would do at z = 150).
+            # Only the mixed norm of torsob.bounds, where x on the tail
+            # starts near 9, gets here: it ends 31 of the 36 tails of
+            # elementary_comparison(0.01) and 29 of the 108 at mu = 1e-4,
+            # 0.1 and 0.5.  The other callers have x >= 64 on the tail and
+            # stop earlier: d = 1 and 2 below the row switch (0 of 240
+            # tails at 40 z in [0.2, 1) for (1, 1..3), (2, 2), (2, 3) and
+            # (2, 10)), d = 3 (0 of the 3,189 tails of the (3, 2) and (3, 6)
+            # K searches) and the direct critical route (0 of 20 at 7 mu).
             cf, cg, cfg = cf + u, cg + m * u, cfg + (m + 1.0) * u
             break
     return f, g, fg, [cf, cg, cfg], [nf, ng, nfg]
@@ -831,34 +848,234 @@ def _shell_sums(d: int, n: int, s, mus, T: int) -> list[list[float]]:
     return out
 
 
-def _general_radius(case: CaseDN, mu, tol: float, cap: int, tails: dict) -> int:
-    """The radius of general_sums at mu, from the tail terms alone: the first
-    T -> 1.6 T + 1 from about 8z whose controllable errors meet tol, or cap."""
+def _screening_radius(case: CaseDN, mu, cap: int) -> float:
+    """z = mu^{-1/2n}, the radius where the screen turns over, once mu has
+    passed the checks of every route: positive, finite, not underflowing,
+    and with the radius max(base, 8z + 1) within the cap."""
     d, n = case.d, case.n
     if not (mu > 0.0) or not math.isfinite(mu):
         raise DomainError(f"general_sums: mu must be positive and finite, got {mu!r}")
     # overflow guard: mu * |k|^{2n} is formed in floating point
     if math.log(mu) < -700.0 * 1.02:
         raise DomainError("general_sums: mu underflows double precision")
-    z = mu ** (-1.0 / (2.0 * n))  # radius where the screen turns over
+    z = mu ** (-1.0 / (2.0 * n))
     T = max(_BASE_RADIUS[d], int(8.0 * z) + 1)
     if T > cap:
-        # the tail expansion needs the screen strong on the whole tail, so the
-        # enumeration must reach ~8z; past the cap no certified answer exists
+        # the shell pass needs the screen strong on its whole tail, so it must
+        # reach ~8z, and past the cap no certified answer exists; the rows,
+        # which stop near 2z, keep the same domain
         raise ToleranceUnreachableError(
             f"general_sums: screening radius {T} for (d={d}, n={n}, "
             f"mu={mu:g}) exceeds the enumeration cap {cap}"
         )
-    while max(_screened_tail(d, n, 0, mu, T, tol / 12.0, tails)[3][:2]) > tol and T < cap:
+    return z
+
+
+def _general_radius(case: CaseDN, mu, z: float, tol: float, cap: int, tails: dict) -> int:
+    """The radius of the d = 3 shell pass at mu, from the tail terms alone:
+    the first T -> 1.6 T + 1 from max(32, 8z + 1) whose controllable
+    errors meet tol, or cap."""
+    T = max(_BASE_RADIUS[3], int(8.0 * z) + 1)
+    while max(_screened_tail(3, case.n, 0, mu, T, tol / 12.0, tails)[3][:2]) > tol and T < cap:
         T = min(int(T * 1.6) + 1, cap)
     return T
 
 
+def _unit_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots e^{i pi k/n}, odd k <= n, of w^n = -1 in the closed upper
+    half plane, and their weights: 2 for a root and its conjugate, 1 for
+    the real root -1.  cos and sin take angles in [0, pi/4], the other
+    octants by exact swaps and signs, so every root is within 2.1 u of the
+    exact one, +-i and -1 are exact, and the real parts of even n cancel
+    in pairs exactly."""
+    roots = []
+    for k in range(1, n + 1, 2):
+        m = min(k, n - k)  # e^{i pi m/n} is the root up to the sign of its real part
+        if 4 * m <= n:
+            r = math.pi * (m / n)
+            c, s = math.cos(r), math.sin(r)
+        else:
+            r = math.pi * ((n - 2 * m) / (2 * n))
+            c, s = math.sin(r), math.cos(r)
+        roots.append(complex(c if 2 * k <= n else -c, s))
+    weights = np.full(len(roots), 2.0)
+    weights[-1] = 1.0 if n % 2 else 2.0
+    return np.array(roots), weights
+
+
+def _row_count(n: int, z: float) -> int:
+    """A = ceil(2^{2/n} z) + _ROW_PAST, the rows of Z^2 that the d = 2 row
+    sums close one by one: past A the series of :func:`_row_tail_coefs`
+    falls by (z/A)^{2n} <= 1/16 an order, and every row's e^{-2 pi a}
+    parts are below e^{-2 pi _ROW_PAST}."""
+    return math.ceil(2.0 ** (2.0 / n) * z) + _ROW_PAST
+
+
+def _row_tail_coefs(n: int, A: int, tails: dict) -> np.ndarray:
+    """c_m = 2 B_{nm} zeta(2nm - 1, A + 1), m = 1..M + 1: the rows |k1| > A
+    of f are sum_m (-1)^{m+1} mu^{-m} c_m up to e^{-2 pi A}, with
+    B_p = sqrt(pi) Gamma(p - 1/2)/Gamma(p) = pi prod_{j<p} (1 - 1/(2j)).
+    The last c_m is the first omitted order: the first whose term, weighted
+    by m, is below 2^-70 at the largest z that takes A (:func:`_row_count`).
+    Kept in tails under ("rows", n, A)."""
+    key = ("rows", n, A)
+    if key not in tails:
+        z_max = (A - _ROW_PAST) / 2.0 ** (2.0 / n)
+        coefs, B, p, m = [], math.pi, 1, 0
+        while True:
+            m += 1
+            while p < n * m:
+                B *= 1.0 - 0.5 / p
+                p += 1
+            c = 2.0 * B * _hurwitz_zeta(2.0 * n * m - 1.0, A + 1.0)
+            coefs.append(c)
+            if m > 1 and (
+                c == 0.0 or math.log(m * c) + 2 * n * m * math.log(z_max) < -70 * math.log(2.0)
+            ):
+                break
+        tails[key] = np.array(coefs)
+    return tails[key]
+
+
+def _row_sums(case: CaseDN, mus, zs, tol: float, tails: dict) -> list:
+    """The triple (method "accelerated") at each mu of mus (d <= 2,
+    z = mu^{-1/2n} in zs) from rows of Z^d closed in the last coordinate
+    (Borwein, Glasser, McPhedran, Wan & Zucker, Lattice Sums Then and Now,
+    2013); None where h's root addends exceed mu h by more than
+    _ROW_CANCEL in magnitude, as the shell pass sums that mu; and the
+    error to raise where the truncation misses tol.
+
+    By partial fractions over the roots w_j = z^2 e^{i pi (2j+1)/n} of
+    1 + mu w^n, 1/(1 + mu q^n) = sum_j (-w_j/n)/(q - w_j).  A row of
+    q = a^2 + k^2 over k in Z closes: with x = sqrt(a^2 - w),
+    S = sum_k 1/(k^2 + x^2) = pi coth(pi x)/x and
+    D = sum_k 1/(k^2 + x^2)^2 = (S + pi^2 csch^2(pi x))/(2 x^2), both
+    through e^{-2 pi x}.  Per root the row of f is -(w/n) S, that of
+    g = sum' 1/(1 + mu q^n)^2 is (1 - 1/n)(-(w/n) S) + (w/n)^2 D, and that
+    of mu h = f - g is -(w/n^2)(S + w D), so g is not taken as f - mu h.
+    Row 0 leaves out k = 0, whose terms 1, 1 and 0 the roots add up to,
+    as one exact -1 in f and in g.  d = 1 is row 0 alone, and exact.  For
+    d = 2 rows a = 1..A (:func:`_row_count`) count twice; from a > z on,
+    S - pi/a replaces S, as the pi/a parts cancel over the roots
+    (sum_j w_j = 0), which keeps the addends near the row's value.
+    Past A every row is sum_m (-1)^{m+1} mu^{-m} B_{nm} a^{1-2nm} up to
+    e^{-2 pi a}, so the rows |a| > A add up to the series of
+    :func:`_row_tail_coefs` (weights 1 - m for g and m for mu h).  Each
+    root pairs with its conjugate (:func:`_unit_roots`), so a pair adds
+    twice its real part.  The per-mu work is one math.fsum a sum; the rows
+    and the series are arrays over (mus, rows, roots), cut into blocks of
+    at most _ROW_BLOCK elements.
+
+    The stated error has four parts.  Rounding: each row addend takes
+    about a dozen complex operations, each within 2u of its magnitude,
+    which sqrt and exp pass on at the arguments they take here, so it is
+    within _ROW_ROUND of its magnitude, the roots' 2.1u included; a
+    series term is within _ROW_ROUND + (m |log mu| + |log c_m|) u of its
+    own (it is formed in log space).  The magnitudes are summed, not the
+    values, so the cancellation among the roots shows in the bound.  z^2
+    is within 2u (pow's ulp) and |log z^2| u/2 (the rounding of -1/n, but
+    for n a power of 2), which moves mu by n times that and f, g and mu h
+    by at most 1, 2 and 1 times mu h that much.  Truncation, held against
+    tol: the first omitted order of the series (the terms alternate and
+    fall by (z/A)^{2n} <= 1/16), and the
+    parts e^{-2 pi a} of the rows past A: with b = sqrt((A + 1)^2 - z^2),
+    Re x and |x| are at least b there, and b grows by 1 or more a row, so
+    in each sum they are at most 13 z^2 (1 + 3.7 z^2/b) e^{-2 pi b}/b.
+    h = (mu h)/mu adds one rounding.
+    """
+    d, n = case.d, case.n
+    roots, root_weights = _unit_roots(n)
+    z2s = [mu ** (-1.0 / n) for mu in mus]
+    As = [0 if d == 1 else _row_count(n, z) for z in zs]
+    R = max(As, default=0) + 1
+    a = np.arange(float(R))[:, None]
+    row_weights = np.where(a > 0.0, 2.0, 1.0) * root_weights  # (R, roots)
+    step = max(1, _ROW_BLOCK // (R * len(roots)))
+    out = []
+    for b in range(0, len(mus), step):
+        mu = np.array(mus[b : b + step])
+        z2 = np.array(z2s[b : b + step])[:, None, None]
+        A = np.array(As[b : b + step], dtype=np.float64)
+        w = z2 * roots
+        x2 = a * a - w
+        x = np.sqrt(x2)
+        e = np.exp(-2.0 * math.pi * x)
+        m = 1.0 - e
+        S = math.pi * (1.0 + e) / (m * x)
+        D = (S + 4.0 * math.pi**2 * e / (m * m)) / (2.0 * x2)
+        S -= np.where(a * a > z2, math.pi / np.maximum(a, 1.0), 0.0)
+        wn = w / n
+        fp = -wn * S
+        parts = np.stack((fp, (1.0 - 1.0 / n) * fp + wn * wn * D, -(wn / n) * (S + w * D)))
+        weights = np.where(a <= A[:, None, None], row_weights, 0.0)
+        values = (parts.real * weights).reshape(3, len(mu), -1)
+        k0 = np.broadcast_to(np.array([-1.0, -1.0, 0.0])[:, None, None], (3, len(mu), 1))
+        values = np.concatenate((values, k0), axis=2)
+        mags = np.cumsum((np.abs(parts) * weights).reshape(3, len(mu), -1), axis=2)[..., -1]
+        mags *= _ROW_ROUND
+        trunc = np.zeros((3, len(mu)))
+        if d == 2:
+            coefs = [_row_tail_coefs(n, int(Ai), tails) for Ai in A]
+            order = np.arange(1.0, max(map(len, coefs)) + 1.0)
+            c = np.zeros((len(mu), len(order)))
+            for i, ci in enumerate(coefs):
+                c[i, : len(ci)] = ci
+            last = np.array([len(ci) - 1 for ci in coefs])  # the first omitted order's index
+            kept = order <= last[:, None]
+            with np.errstate(divide="ignore"):
+                log_c = np.log(c)
+            log_mu_m = order * np.log(mu)[:, None]
+            t = np.exp(log_c - log_mu_m)
+            log_err = np.abs(log_mu_m) + np.abs(np.where(kept, log_c, 0.0))
+            t_err = t * (_ROW_ROUND + 2.0**-53 * log_err)
+            wts = np.stack((np.ones_like(order), 1.0 - order, order))[:, None, :]  # f, g, mu h
+            signed = np.where(order % 2.0 == 1.0, wts, -wts) * t
+            values = np.concatenate((values, np.where(kept, signed, 0.0)), axis=2)
+            mags += np.cumsum(np.where(kept, np.abs(wts) * t_err, 0.0), axis=2)[..., -1]
+            z = np.sqrt(z2[:, 0, 0])
+            b_past = np.sqrt((A + 1.0) ** 2 - z * z)
+            dropped = 13.0 * z * z * (1.0 + 3.7 * z * z / b_past) / b_past
+            dropped *= np.exp(-2.0 * math.pi * b_past)
+            trunc = np.abs(wts[:, 0, last]) * t[np.arange(len(mu)), last] + dropped
+        sums = np.array([[math.fsum(row) for row in v] for v in values.tolist()])
+        # pow is within an ulp, and -1/n is exact for n a power of 2
+        eps_z = 2.0**-52 + ((n & (n - 1)) != 0) * 2.0**-54 * np.abs(np.log(z2[:, 0, 0]))
+        pert = n * eps_z * sums[2]
+        err = trunc + mags + np.array([[1.0], [2.0], [1.0]]) * pert + 2.0**-53 * np.abs(sums)
+        h = sums[2] / mu
+        err_h = err[2] / mu + 2.0**-53 * np.abs(h)
+        cancels = ~(mags[2] <= _ROW_CANCEL * _ROW_ROUND * sums[2])
+        missed = np.maximum(trunc[0], trunc[1])
+        for mu_i, f, g, h_i, e_f, e_g, e_h, cancel, miss in zip(
+            mus[b : b + step], *sums[:2].tolist(), h.tolist(), *err[:2].tolist(),
+            err_h.tolist(), cancels.tolist(), missed.tolist(),
+        ):
+            if cancel:
+                out.append(None)
+            elif miss > tol:
+                out.append(ToleranceUnreachableError(
+                    f"general_sums: truncation {miss:.2e} of the rows exceeds "
+                    f"target {tol:g} for (d={d}, n={n}, mu={mu_i:g})"
+                ))
+            else:
+                out.append(SumTriple(
+                    mu_i, SpecialValue(f, e_f), SpecialValue(g, e_g), SpecialValue(h_i, e_h),
+                    "accelerated",
+                ))
+    return out
+
+
 def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> list[SumTriple]:
-    """[general_sums(case, mu, cfg) for mu in mus], bit for bit.  Every
-    radius is picked (or refused) before any shell is summed; the mus at
-    one radius share one :func:`_shell_sums` pass.  The tail terms of each
-    (order, radius) are computed once per call, or per dict tails passed to
+    """[general_sums(case, mu, cfg) for mu in mus], bit for bit, and the
+    same first error.  Every mu is checked (or refused) before anything is
+    summed.  The d <= 2 mus at
+    z >= _ROW_SWITCH share one :func:`_row_sums` call, unless h's root
+    addends cancel by more than _ROW_CANCEL; the rest go to the shell
+    pass, where the mus at one radius share one :func:`_shell_sums` pass.
+    Its radius is max(base, 8z + 1) for d <= 2, which z < _ROW_SWITCH
+    keeps at the base, and :func:`_general_radius`'s ladder for d = 3.
+    The tail terms of each (order, radius) and the series coefficients of
+    each row count are computed once per call, or per dict tails passed to
     several calls."""
     d, n = case.d, case.n
     if d > 3:
@@ -866,30 +1083,50 @@ def _general_sums_batch(case: CaseDN, mus, cfg: PrecisionConfig, tails=None) -> 
     tol = cfg.target_abs_tol
     cap = min(cfg.max_radius, _budget_radius(d))
     tails = {} if tails is None else tails
-    radii = [_general_radius(case, mu, tol, cap, tails) for mu in mus]
-    shell_sums: list = [None] * len(radii)
-    for T in sorted(set(radii), reverse=True):
-        rows = [i for i, r in enumerate(radii) if r == T]
-        for i, shell in zip(rows, _shell_sums(d, n, 0, [mus[i] for i in rows], T)):
-            shell_sums[i] = shell
+    zs = [_screening_radius(case, mu, cap) for mu in mus]
+    out: list = [None] * len(mus)
+    on_rows = [i for i, z in enumerate(zs) if d <= 2 and z >= _ROW_SWITCH]
+    rows = _row_sums(case, [mus[i] for i in on_rows], [zs[i] for i in on_rows], tol, tails)
+    for i, triple in zip(on_rows, rows):
+        out[i] = triple
 
-    out = []
-    for mu, T, shell in zip(mus, radii, shell_sums):
-        f, g, fg, ctrl, floor = _screened_tail(d, n, 0, mu, T, tol / 12.0, tails, *shell)
-        # past tol T is the cap, which cannot grow; the bounds stay
-        # rigorous, so they are returned while tiny relative to the values
-        # themselves (the d = 3 small-mu regime lands here)
-        if max(ctrl[:2]) > tol and not (
-            ctrl[0] <= 1e-7 * max(1.0, abs(f)) and ctrl[1] <= 1e-7 * max(1.0, abs(g))
-        ):
-            raise ToleranceUnreachableError(
-                f"general_sums: cannot certify {tol:g} for (d={d}, n={n}, "
-                f"mu={mu:g}) within enumeration radius {cap}"
-            )
-        h = fg / mu
-        err_h = (ctrl[2] + floor[2]) / mu + 4e-16 * abs(h)
-        f_sv, g_sv = (SpecialValue(v, e + fl) for v, e, fl in zip((f, g), ctrl, floor))
-        out.append(SumTriple(mu, f_sv, g_sv, SpecialValue(h, err_h), "direct"))
+    shell = [i for i, t in enumerate(out) if t is None]
+    radii = {
+        i: _general_radius(case, mus[i], zs[i], tol, cap, tails) if d == 3
+        else max(_BASE_RADIUS[d], int(8.0 * zs[i]) + 1)
+        for i in shell
+    }
+    for T in sorted(set(radii.values()), reverse=True):
+        at_T = [i for i in shell if radii[i] == T]
+        for i, sums in zip(at_T, _shell_sums(d, n, 0, [mus[i] for i in at_T], T)):
+            mu = mus[i]
+            f, g, fg, ctrl, floor = _screened_tail(d, n, 0, mu, T, tol / 12.0, tails, *sums)
+            held = max(ctrl[0] + floor[0], ctrl[1] + floor[1])
+            if d <= 2 and held > tol:
+                out[i] = ToleranceUnreachableError(
+                    f"general_sums: error floor {held:.2e} exceeds target {tol:g} "
+                    f"for (d={d}, n={n}, mu={mu:g}) at radius {T}"
+                )
+                continue
+            # d = 3 past tol is at the cap, which cannot grow; the bounds stay
+            # rigorous, so they are returned while tiny relative to the values
+            # themselves (d = 3 keeps this rule until it has rows closed in k3)
+            if d == 3 and max(ctrl[:2]) > tol and not (
+                ctrl[0] <= 1e-7 * max(1.0, abs(f)) and ctrl[1] <= 1e-7 * max(1.0, abs(g))
+            ):
+                out[i] = ToleranceUnreachableError(
+                    f"general_sums: cannot certify {tol:g} for (d={d}, n={n}, "
+                    f"mu={mu:g}) within enumeration radius {cap}"
+                )
+                continue
+            h = fg / mu
+            err_h = (ctrl[2] + floor[2]) / mu + 4e-16 * abs(h)
+            f_sv, g_sv = (SpecialValue(v, e + fl) for v, e, fl in zip((f, g), ctrl, floor))
+            out[i] = SumTriple(mu, f_sv, g_sv, SpecialValue(h, err_h), "direct")
+    # the first refusal in the order of mus, as the scalar calls would raise
+    for t in out:
+        if isinstance(t, ToleranceUnreachableError):
+            raise t
     return out
 
 

@@ -3,7 +3,8 @@ and the Hardy sum by theta splitting in mpmath, the partial inverse-square
 sum on top of a library kernel, the critical triple in mpmath (at
 |mu| > 1 by its power series, at 0 < mu <= 4 by Bessel image sums), and
 the split bound's two cut sums and objective at 40 digits by polygamma
-rows.
+rows, and the (d, n) triple at 40 digits by rows closed in the last
+coordinate.
 """
 
 import functools
@@ -222,3 +223,57 @@ def split_objective_40_digits(delta: float, m: int) -> mp.mpf:
     with mp.workdps(40):
         s_low, s_high = s_low_40_digits(m), s_high_40_digits(m)
         return (mp.sqrt(s_low) + mp.sqrt(mp.mpf(delta) * s_high)) ** 2 / (4 * mp.pi**2)
+
+
+def general_triple_rows_mp(d: int, n: int, mu: float, extra: int = 0):
+    """The (d, n) triple (f, g, h) at mu > 0, d = 1 or 2, as mpf at 40
+    digits, by the row formula of ``lattice._row_sums`` at 50 working
+    digits: no root pairing, no pi/a subtraction, and more rows.
+
+    1/(1 + mu q^n) = sum_j (-w_j/n)/(q - w_j) over the n roots
+    w_j = mu^{-1/n} e^{i pi (2j+1)/n}; the row of q = a^2 + k^2 over k in Z
+    is S = pi coth(pi x)/x with x = sqrt(a^2 - w), and that of its square
+    D = (S + pi^2 csch^2(pi x))/(2 x^2).  Per root f takes -(w/n) S, g takes
+    -(w/n)((1 - 1/n) S - (w/n) D) and mu h takes -(w/n^2)(S + w D); row 0
+    leaves out k = 0.  d = 1 is row 0 alone.  d = 2 adds rows 1..A twice,
+    A = ceil(4z) + 16 + extra with z = mu^{-1/2n}, and the rows past A as
+    sum_m (-1)^{m+1} mu^{-m} 2 B_{nm} zeta(2nm - 1, A + 1) (weights 1 - m
+    for g and m for mu h), B_p = sqrt(pi) Gamma(p - 1/2)/Gamma(p), until a
+    term is below 10^-50 (zeta at the digits it needs; mpmath's own loses
+    about s log10(a) of them); the rows' e^{-2 pi a} parts dropped past A
+    are below e^{-2 pi 15}.  extra > 0 moves rows from the series to the closed
+    forms, which checks both.
+    """
+    if d not in (1, 2) or not mu > 0.0:
+        raise DomainError(f"general_triple_rows_mp: need d in (1, 2) and mu > 0, got {d!r}, {mu!r}")
+    with mp.workdps(50):
+        m = mp.mpf(mu)
+        z2 = m ** (-mp.mpf(1) / n)
+        A = 0 if d == 1 else int(mp.ceil(4 * mp.sqrt(z2))) + 16 + extra
+        f = g = muh = mp.mpf(0)
+        for j in range(n):
+            w = z2 * mp.expjpi(mp.mpf(2 * j + 1) / n)
+            for a in range(A + 1):
+                x2 = a * a - w
+                x = mp.sqrt(x2)
+                S = mp.pi * mp.coth(mp.pi * x) / x
+                D = (S + (mp.pi * mp.csch(mp.pi * x)) ** 2) / (2 * x2)
+                if a == 0:
+                    S, D = S + 1 / w, D - 1 / w**2
+                weight = 1 if a == 0 else 2
+                f += weight * mp.re(-w / n * S)
+                g += weight * mp.re(-w / n * ((1 - mp.mpf(1) / n) * S - w / n * D))
+                muh += weight * mp.re(-w / n**2 * (S + w * D))
+        order = 0
+        while d == 2:
+            order += 1
+            p = n * order
+            t = 2 * m**-order * mp.sqrt(mp.pi) * mp.gamma(p - mp.mpf(1) / 2) / mp.gamma(p)
+            # mpmath forms zeta(s, a) as zeta(s) less the terms below a, so a
+            # value near a^-s needs s log10(a) more digits
+            with mp.workdps(60 + int((2 * p - 1) * math.log10(A + 1))):
+                t *= (-1) ** (order + 1) * mp.zeta(2 * p - 1, A + 1)
+            f, g, muh = f + t, g + (1 - order) * t, muh + order * t
+            if abs(order * t) < mp.mpf(10) ** -50:
+                break
+        return f, g, muh / m

@@ -84,7 +84,10 @@ def test_theta_dn_frozen_22():
 @pytest.mark.parametrize(
     "dn,mu_hex,theta_hex",
     [
-        ((1, 3), "0x1.dad9c46a572e5p-6", "0x1.21ea34ead201fp-1"),
+        # by rows; at 50 digits Theta(10) = 0.5662399803777616063263 at
+        # mu = 0.02898258382025446004335, and at the mu below Theta is
+        # 0.5662399803777623384321 (0.13 ulp under the theta below)
+        ((1, 3), "0x1.dad9c46a572dep-6", "0x1.21ea34ead201fp-1"),
         ((3, 2), "0x1.6eeb1977f31fdp-2", "0x1.1345836e042b5p-1"),
     ],
 )
@@ -263,6 +266,26 @@ def test_remainder_constant_shares_tail_moments(monkeypatch):
     monkeypatch.setattr(lattice, "_clipped_moment", counted)
     al.remainder_constant(CaseDN(2, 2))
     assert 0 < len(calls) <= 1000
+
+
+def test_searches_state_d_le_2_bounds_within_the_target(monkeypatch):
+    # every d <= 2 sample of the gate-case K searches and of the (2,3)
+    # crossings states f and g within target_abs_tol (or the call raises)
+    stated = []
+    batch = lattice._general_sums_batch
+
+    def recorded(case, mus, *args):
+        out = batch(case, mus, *args)
+        stated.extend((case, t.f.abs_error_bound, t.g.abs_error_bound) for t in out)
+        return out
+
+    monkeypatch.setattr(al, "_general_sums_batch", recorded)
+    for dn in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (2, 10)):
+        al.remainder_constant(CaseDN(*dn))
+    al.positive_crossings(CaseDN(2, 3))
+    tol = lattice.DEFAULT_CONFIG.target_abs_tol
+    assert len(stated) > 1800
+    assert [s for s in stated if max(s[1:]) > tol] == []
 
 
 @pytest.mark.parametrize(

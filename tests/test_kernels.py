@@ -583,8 +583,8 @@ def test_no_blas_call_outside_dot():
     assert found == []
 
 
-# every value but the field's l2 takes a dot product over more than 10^4
-# shells, where OpenBLAS splits np.dot over its threads
+# every value but the field's l2 and the (2, 3) rows takes a dot product
+# over more than 10^4 shells, where OpenBLAS splits np.dot over its threads
 _THREAD_PROBE = """
     from torsob.algebraic import remainder_constant
     from torsob.bounds import elementary_comparison
@@ -592,9 +592,11 @@ _THREAD_PROBE = """
     from torsob.lattice import CaseDN, critical_sums, general_sums
     direct = critical_sums(0.3, "direct")
     batch = general_sums(CaseDN(3, 2), 6.0**-4)
+    rows = general_sums(CaseDN(2, 3), 3.0**-6)
     comparison = elementary_comparison(0.01)
     values = [
         *(v.value for v in (direct.f, direct.g, direct.h, batch.f, batch.g, batch.h)),
+        *(v.value for v in (rows.f, rows.g, rows.h)),
         extremal_field(0.5, 64).l2_norm_sq,
         comparison.A,
         comparison.B,
@@ -614,6 +616,6 @@ def test_sums_do_not_depend_on_the_blas_thread_count():
     one = _probe("1")
     two = _probe("2")
     four = _probe("4")
-    assert len(one.split()) == 10
+    assert len(one.split()) == 13
     assert two == one
     assert four == one

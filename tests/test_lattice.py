@@ -45,6 +45,7 @@ from scalar_oracles import (
     critical_triple_images_mp,
     critical_triple_mp,
     epstein_theta_split,
+    general_triple_rows_mp,
     hardy_sum_theta_split,
     partial_inverse_square_sum,
 )
@@ -270,11 +271,12 @@ def test_general_sums_h_keeps_shells_with_small_x(d, n, mu):
 @pytest.mark.parametrize(
     "d, n, z, bits",
     [
-        # the 8-order cap of the tail series sets the radius (1922, not 1201)
+        # rows; at 40 digits f = 470.2388980384689744781,
+        # g = 234.6194490192344872391, h = 5301437.602932775708825
         (1, 1, 150.0, (
-            "0x1.d63d286bfe4d9p+8", "0x1.fc984b7ae60dbp-40",
-            "0x1.d53d286bfe4d9p+7", "0x1.097e206912d41p-40",
-            "0x1.4392f66967359p+22", "0x1.7617c7194cb27p-26",
+            "0x1.d63d286bfe4d9p+8", "0x1.090a66bcbf0bap-40",
+            "0x1.d53d286bfe4d9p+7", "0x1.35302286dee2fp-41",
+            "0x1.4392f6696735bp+22", "0x1.9477b403c1032p-27",
         )),
         # the d = 3 radius cap, where the 1e-7 relative rule returns the sums
         (3, 2, 12.0, (
@@ -282,10 +284,12 @@ def test_general_sums_h_keeps_shells_with_small_x(d, n, mu):
             "0x1.78cbd194b1b36p+12", "0x1.43a8b4d82a929p-12",
             "0x1.65b8a7f24922fp+28", "0x1.99a5bbb74c67ep+3",
         )),
+        # rows; at 40 digits f = 33.18725266362863266279,
+        # g = 21.79597342807181545448, h = 8304.24256272092035169
         (2, 3, 3.0, (
-            "0x1.097f7e5312e9cp+5", "0x1.5bca61705a55fp-35",
-            "0x1.5cbc4ea220db1p+4", "0x1.b05f0b2c3be36p-44",
-            "0x1.0381f0c4b9141p+13", "0x1.ee450586644b7p-26",
+            "0x1.097f7e5312fdcp+5", "0x1.47b82b0f68977p-43",
+            "0x1.5cbc4ea220db2p+4", "0x1.177465c94f310p-43",
+            "0x1.0381f0c4b94cbp+13", "0x1.36500da7fa60ap-35",
         )),
     ],
 )
@@ -311,30 +315,73 @@ def _triple_fields(tr):
 
 
 @pytest.mark.parametrize("d, n", GATE_CASES)
-def test_general_sums_batch_is_the_scalar_call_bit_for_bit(d, n):
-    # z = mu^{-1/2n} is the screening radius; the upper ends keep d = 2 off
-    # the 6000 cap (a 216 MiB shell table) and bring d = 3 onto its cap of
-    # 170, where the 1e-7 relative rule returns the sums
+def test_general_sums_batch_is_the_scalar_call_bit_for_bit(d, n, monkeypatch):
+    # z = mu^{-1/2n} is the screening radius; the upper ends take d <= 2
+    # far onto the rows and bring d = 3 onto its cap of 170, where the
+    # 1e-7 relative rule returns the sums
     case, cfg = CaseDN(d, n), DEFAULT_CONFIG
     rng = np.random.default_rng(100 * d + n)
-    z_hi = {1: 150.0, 2: 5.5 if n == 2 else 25.0, 3: 12.0}[d]
+    z_hi = {1: 150.0, 2: 25.0, 3: 12.0}[d]
     zs = np.concatenate([[0.3, z_hi], rng.uniform(0.3, z_hi, 22)])
     mus = [float(z ** (-2.0 * n)) for z in zs]
+    ladder = []  # (z, radius) of every run of the radius ladder
+    real = lattice._general_radius
+
+    def recorded(case, mu, z, *rest):
+        ladder.append((z, real(case, mu, z, *rest)))
+        return ladder[-1][1]
+
+    monkeypatch.setattr(lattice, "_general_radius", recorded)
     batch = lattice._general_sums_batch(case, mus, cfg)
     assert [_triple_fields(t) for t in batch] == [
         _triple_fields(general_sums(case, mu)) for mu in mus
     ]
+    if d <= 2:
+        # the rows take z >= 1, and the shells below it stay at their base radius
+        assert ladder == []
+        assert {t.method for t in batch} == {"direct", "accelerated"}
+    else:
+        cap = min(cfg.max_radius, lattice._budget_radius(d))
+        assert any(T > max(lattice._BASE_RADIUS[d], int(8.0 * z) + 1) for z, T in ladder)
+        assert any(T == cap for _, T in ladder)
 
-    cap = min(cfg.max_radius, lattice._budget_radius(d))
-    climbs = at_cap = 0
-    for z, mu in zip(zs, mus):
-        T = lattice._general_radius(case, mu, cfg.target_abs_tol, cap, {})
-        climbs += T > max(lattice._BASE_RADIUS[d], int(8.0 * z) + 1)
-        ctrl = lattice._screened_tail(d, n, 0, mu, T, cfg.target_abs_tol / 12.0, {})[3]
-        at_cap += T == cap and max(ctrl[:2]) > cfg.target_abs_tol
-    if (d, n) in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 6)):
-        assert climbs > 0
-    assert (at_cap > 0) == (d == 3)
+
+def test_general_sums_batch_spans_row_blocks():
+    # 400 mus of (2, 3) hold more complex elements than a _BLOCK chunk, so
+    # they fill many row blocks, each padded to the batch's longest row
+    # count, where a scalar call pads to its own
+    case = CaseDN(2, 3)
+    zs = np.random.default_rng(23).uniform(1.0, 25.0, 400)
+    mus = [float(z ** -6.0) for z in zs]
+    rows = lattice._row_count(3, float(zs.max())) + 1
+    assert len(mus) * rows * len(lattice._unit_roots(3)[0]) > lattice._BLOCK
+    batch = lattice._general_sums_batch(case, mus, DEFAULT_CONFIG)
+    assert {t.method for t in batch} == {"accelerated"}
+    assert [_triple_fields(t) for t in batch] == [
+        _triple_fields(general_sums(case, mu)) for mu in mus
+    ]
+
+
+@pytest.mark.parametrize("n, z", [(2, 6.0), (3, 25.0), (10, 3.0)])
+def test_general_rows_oracle_keeps_its_digits_with_more_rows(n, z):
+    # 40 more closed rows and a series from further out agree to 1e-30
+    mu = z ** (-2.0 * n)
+    near = general_triple_rows_mp(2, n, mu)
+    far = general_triple_rows_mp(2, n, mu, extra=40)
+    for a, b in zip(near, far):
+        assert abs(a - b) <= 1e-30 * abs(a)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 10)])
+def test_general_sums_within_bounds_of_the_40_digit_rows(d, n):
+    # just below and above the row switch, at 3 and 6, and one large z
+    below, above = lattice._ROW_SWITCH * (1.0 - 1e-3), lattice._ROW_SWITCH * (1.0 + 1e-3)
+    for z in (below, above, 3.0, 6.0, 150.0 if d == 1 else 25.0):
+        mu = z ** (-2.0 * n)
+        s = general_sums(CaseDN(d, n), mu)
+        assert s.method == ("direct" if z < lattice._ROW_SWITCH else "accelerated")
+        for sv, ref in zip((s.f, s.g, s.h), general_triple_rows_mp(d, n, mu)):
+            assert abs(sv.value - ref) <= sv.abs_error_bound
 
 
 @pytest.mark.parametrize(
